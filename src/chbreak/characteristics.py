@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .diagnostics import geometric_mean
 from .grid import (
     Field,
     conv_P_minus,
@@ -30,6 +31,7 @@ from .grid import (
     second_deriv,
 )
 from .model import DissipationProfile, _nonlinear_spectra, rhs, slope_rhs
+from .riccati import rk4
 
 SLOPE_RELIABLE_LIMIT = 1.0e5
 
@@ -51,9 +53,7 @@ class TrackAux:
 
 def build_aux(u: Field, t: float, profile: DissipationProfile,
               edge_tol: float = 1.0e-8) -> TrackAux:
-    grid = u.grid
-    _, sq_hat, slopesq_hat, _, cube_hat = _nonlinear_spectra(grid, u.values)
-    flux = from_spectrum(grid, cube_hat - 0.5 * sq_hat + 0.5 * slopesq_hat)
+    flux = from_spectrum(u.grid, _nonlinear_spectra(u.grid, u.values).flux)
     plus = conv_P_plus(flux, edge_tol)
     minus = conv_P_minus(flux, edge_tol)
     return TrackAux(
@@ -99,30 +99,37 @@ class CharacteristicTrack:
 
     def g(self) -> np.ndarray:
         """sqrt(-phi * psi) = sqrt(u_x^2 - u^2); nan where undefined."""
-        prod = -self.phi() * self.psi()
-        out = np.full_like(prod, np.nan)
-        ok = prod > 0.0
-        out[ok] = np.sqrt(prod[ok])
-        return out
+        return geometric_mean(self.phi(), self.psi())
+
+
+def _append_sample(track: CharacteristicTrack, grid, t, q, v, w, rhs_u, rhs_ux,
+                   rhs_u_alt=math.nan, rhs_ux_alt=math.nan) -> None:
+    """Store one sample; the edge and slope limits decide its reliability."""
+    if abs(q) > grid.half_length - 2.0 * grid.dx:
+        track.edge_contaminated = True
+    track.times.append(t)
+    track.positions.append(float(q))
+    track.u_vals.append(float(v))
+    track.ux_vals.append(float(w))
+    track.rhs_u.append(rhs_u)
+    track.rhs_ux.append(rhs_ux)
+    track.rhs_u_alt.append(rhs_u_alt)
+    track.rhs_ux_alt.append(rhs_ux_alt)
+    track.reliable.append(not track.edge_contaminated and abs(w) < SLOPE_RELIABLE_LIMIT)
 
 
 def _append_pde_sample(track: CharacteristicTrack, q: float, aux: TrackAux) -> None:
-    grid = aux.u.grid
-    if abs(q) > grid.half_length - 2.0 * grid.dx:
-        track.edge_contaminated = True
     uq = interp(aux.u, q)
     wq = interp(aux.ux, q)
     lam = aux.lam
-    local = uq * uq + (uq ** 3 - 1.5 * uq * uq)    # u^2 + h(u), pointwise
-    track.times.append(aux.t)
-    track.positions.append(q)
-    track.u_vals.append(uq)
-    track.ux_vals.append(wq)
-    track.rhs_u.append(interp(aux.conv_diff, q) - lam * uq)
-    track.rhs_ux.append(-0.5 * wq * wq + local - interp(aux.conv_sum, q) - lam * wq)
-    track.rhs_u_alt.append(interp(aux.rhs_field, q) + uq * wq)
-    track.rhs_ux_alt.append(interp(aux.slope_field, q) + uq * interp(aux.uxx, q))
-    track.reliable.append(not track.edge_contaminated and abs(wq) < SLOPE_RELIABLE_LIMIT)
+    # u^2 + h(u) at the point itself, so this route stays off the spectral kernel
+    local = uq * uq + (uq ** 3 - 1.5 * uq * uq)
+    _append_sample(
+        track, aux.u.grid, aux.t, q, uq, wq,
+        interp(aux.conv_diff, q) - lam * uq,
+        -0.5 * wq * wq + local - interp(aux.conv_sum, q) - lam * wq,
+        interp(aux.rhs_field, q) + uq * wq,
+        interp(aux.slope_field, q) + uq * interp(aux.uxx, q))
 
 
 def start_track(seed: float, aux: TrackAux) -> CharacteristicTrack:
@@ -157,10 +164,6 @@ def advance_frozen(
     w' = -w^2/2 + forcing(q) - lambda w, with drift = (P+ - P-) * F and
     forcing = u^2 + h(u) - P * F evaluated at the freeze time.
     """
-    q0 = track.positions[-1]
-    v0 = track.u_vals[-1]
-    w0 = track.ux_vals[-1]
-
     def f(t, state):
         q, v, w = state
         lam = profile.rate(t)
@@ -170,27 +173,14 @@ def advance_frozen(
             -0.5 * w * w + interp(forcing, q) - lam * w,
         ])
 
-    y = np.array([q0, v0, w0])
-    k1 = f(t_start, y)
-    k2 = f(t_start + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t_start + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t_start + dt, y + dt * k3)
-    q, v, w = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = np.array([track.positions[-1], track.u_vals[-1], track.ux_vals[-1]])
+    q, v, w = rk4(f, t_start, y, dt)
     t_new = t_start + dt
     lam = profile.rate(t_new)
-    grid = drift.grid
-    if abs(q) > grid.half_length - 2.0 * grid.dx:
-        track.edge_contaminated = True
-    track.times.append(t_new)
-    track.positions.append(float(q))
-    track.u_vals.append(float(v))
-    track.ux_vals.append(float(w))
-    track.rhs_u.append(interp(drift, float(q)) - lam * v)
-    track.rhs_ux.append(-0.5 * w * w + interp(forcing, float(q)) - lam * w)
     # the spectral route needs live fields; no second route while frozen
-    track.rhs_u_alt.append(math.nan)
-    track.rhs_ux_alt.append(math.nan)
-    track.reliable.append(not track.edge_contaminated and abs(w) < SLOPE_RELIABLE_LIMIT)
+    _append_sample(track, drift.grid, t_new, q, v, w,
+                   interp(drift, float(q)) - lam * v,
+                   -0.5 * w * w + interp(forcing, float(q)) - lam * w)
 
 
 @dataclass(frozen=True)

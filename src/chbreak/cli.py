@@ -4,16 +4,17 @@ Subcommands: simulate (one run from a config file), criteria (evaluate the
 breaking criteria for a config's datum), riccati (the comparison problems
 standalone), sweep (a batch of runs over datum cells), version.
 
-Exit codes: 0 success, 2 configuration error, 3 run failure (step
-underflow, loss of edge decay, failed search). Machine outputs are
-deterministic: CSV floats use repr (shortest round-trip form), JSON is
-sorted and newline-terminated, and wall-clock time goes to the console
-only, never into files.
+Exit codes: 0 success, 2 configuration error or unwritable output, 3 run
+failure (step underflow, loss of edge decay, failed search, or any failed
+sweep cell). Machine outputs are deterministic: CSV floats use repr
+(shortest round-trip form), JSON is sorted and newline-terminated, and
+wall-clock time goes to the console only, never into files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -30,11 +31,14 @@ from .config import RunConfig, emit_config, load_config, parse_config
 from .criteria import check_criterion1, check_criterion2
 from .diagnostics import estimate_blowup
 from .errors import ChbreakError, ConfigError
+from .model import DissipationProfile, make_datum
 from .riccati import omega_bound, solve_coupled, solve_omega, two_sided_bound
 from .solver import run
 from .svg import Series, write_line_chart
 
 CSV_COLUMNS = ("t", "E", "m", "x_argmin", "sup_abs_u", "dt", "lambda_int")
+# run outcomes that make simulate, or a sweep cell, fail
+FAILED_OUTCOMES = ("dt_underflow", "edge_decay_lost")
 
 
 def _jsonable(obj):
@@ -51,9 +55,18 @@ def _jsonable(obj):
     return obj
 
 
+@contextlib.contextmanager
+def _writable(path: str):
+    """Report an output path that cannot be written as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writable(path), open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
@@ -63,14 +76,12 @@ def _record_row(rec) -> list:
 
 
 def _run_summary(cfg: RunConfig, outcome, est) -> dict:
-    report1 = check_criterion1_cfg(cfg)
-    report2 = check_criterion2_cfg(cfg)
+    report1, report2 = _criteria_reports(cfg)
     t_star = None if est is None else est.t_star
-    le_t1 = le_t2 = None
-    if t_star is not None and report1.t_bound is not None:
-        le_t1 = bool(t_star <= report1.t_bound)
-    if t_star is not None and report2.t_bound is not None:
-        le_t2 = bool(t_star <= report2.t_bound)
+
+    def within(bound):
+        return None if t_star is None or bound is None else bool(t_star <= bound)
+
     location_check = None
     if report2.satisfied and report2.location is not None and outcome.records:
         lo, hi = report2.location
@@ -95,7 +106,8 @@ def _run_summary(cfg: RunConfig, outcome, est) -> dict:
         "blowup": est,
         "bound_checks": {"t_star": t_star, "t1_bound": report1.t_bound,
                          "t2_bound": report2.t_bound,
-                         "t_star_le_t1": le_t1, "t_star_le_t2": le_t2},
+                         "t_star_le_t1": within(report1.t_bound),
+                         "t_star_le_t2": within(report2.t_bound)},
         "location_check": location_check,
         "tracks": [
             {"seed": tr.seed, "n_samples": tr.n_samples,
@@ -107,18 +119,11 @@ def _run_summary(cfg: RunConfig, outcome, est) -> dict:
     }
 
 
-def check_criterion1_cfg(cfg: RunConfig):
-    from .model import make_datum
-
+def _criteria_reports(cfg: RunConfig):
+    """Both breaking criteria for the config's gridded datum."""
     u0 = make_datum(cfg.datum, cfg.grid, cfg.edge_tol)
-    return check_criterion1(u0, cfg.profile.delta_sup)
-
-
-def check_criterion2_cfg(cfg: RunConfig):
-    from .model import make_datum
-
-    u0 = make_datum(cfg.datum, cfg.grid, cfg.edge_tol)
-    return check_criterion2(u0, cfg.profile.delta_sup)
+    delta = cfg.profile.delta_sup
+    return check_criterion1(u0, delta), check_criterion2(u0, delta)
 
 
 def _write_plots(plots_dir: str, outcome, est) -> None:
@@ -152,7 +157,8 @@ def _cmd_simulate(args) -> int:
     sink = None
     csv_fh = None
     if records_csv:
-        csv_fh = open(records_csv, "w", encoding="utf-8", newline="")
+        with _writable(records_csv):
+            csv_fh = open(records_csv, "w", encoding="utf-8", newline="")
         writer = csv.writer(csv_fh)
         writer.writerow(CSV_COLUMNS)
         sink = lambda rec: writer.writerow(_record_row(rec))
@@ -167,7 +173,8 @@ def _cmd_simulate(args) -> int:
     if summary_json:
         _write_json(summary_json, _run_summary(cfg, outcome, est))
     if plots_dir:
-        _write_plots(plots_dir, outcome, est)
+        with _writable(plots_dir):
+            _write_plots(plots_dir, outcome, est)
     print(f"outcome: {outcome.kind}")
     print(f"t_final: {outcome.t_final!r}")
     if outcome.t_switch is not None:
@@ -178,7 +185,7 @@ def _cmd_simulate(args) -> int:
         print(f"t_star: {est.t_star!r}  rate: {est.rate!r}  "
               f"fit_residual: {est.fit_residual!r}")
     print(f"elapsed: {elapsed:.3f} s ({len(outcome.records)} records)")
-    if outcome.kind in ("dt_underflow", "edge_decay_lost"):
+    if outcome.kind in FAILED_OUTCOMES:
         print(f"error: run ended with {outcome.kind}", file=sys.stderr)
         return 3
     return 0
@@ -186,8 +193,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_criteria(args) -> int:
     cfg = load_config(args.config)
-    r1 = check_criterion1_cfg(cfg)
-    r2 = check_criterion2_cfg(cfg)
+    r1, r2 = _criteria_reports(cfg)
     for rep in (r1, r2):
         verdict = "satisfied" if rep.satisfied else "not satisfied"
         print(f"{rep.kind}: {verdict}")
@@ -205,6 +211,9 @@ def _cmd_criteria(args) -> int:
 
 
 def _cmd_riccati(args) -> int:
+    if args.delta * args.delta + 2.0 * args.forcing < 0.0:
+        raise ConfigError("--forcing must be at least -delta^2/2: below that the "
+                          "comparison problem has no threshold")
     rows = []
     if args.coupled:
         traj = solve_coupled(args.delta, args.forcing, args.rising0, args.falling0,
@@ -217,19 +226,15 @@ def _cmd_riccati(args) -> int:
             traj = solve_omega(args.delta, args.forcing, w0, t_max=args.t_max)
             bound = omega_bound(args.delta, args.forcing, w0)
             rows.append(("scalar", w0, traj.blew_up, traj.t_blowup, bound))
-    print("case,start,blew_up,t_numeric,t_bound")
-    for kind, start, blew, t_num, bound in rows:
-        print(",".join([kind, repr(float(start)), str(blew).lower(),
-                        "" if t_num is None else repr(t_num),
-                        "" if bound is None else repr(bound)]))
+    lines = [["case", "start", "blew_up", "t_numeric", "t_bound"]]
+    lines += [[kind, repr(float(start)), str(blew).lower(),
+               "" if t_num is None else repr(t_num), "" if bound is None else repr(bound)]
+              for kind, start, blew, t_num, bound in rows]
+    for line in lines:
+        print(",".join(line))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["case", "start", "blew_up", "t_numeric", "t_bound"])
-            for kind, start, blew, t_num, bound in rows:
-                writer.writerow([kind, repr(float(start)), str(blew).lower(),
-                                 "" if t_num is None else repr(t_num),
-                                 "" if bound is None else repr(bound)])
+        with _writable(args.csv), open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(lines)
     return 0
 
 
@@ -246,11 +251,9 @@ def _sweep_cell(packed):
         datum = dataclasses.replace(cfg.datum, amplitude=amplitude, width=width)
         profile = cfg.profile
         if delta is not None:
-            from .model import DissipationProfile
-
             profile = DissipationProfile.constant(delta)
         cfg = dataclasses.replace(cfg, datum=datum, profile=profile)
-        rep = check_criterion1_cfg(cfg)
+        rep = _criteria_reports(cfg)[0]
         outcome = run(cfg.to_solver_config())
         est = estimate_blowup(outcome.records)
         return {
@@ -262,15 +265,13 @@ def _sweep_cell(packed):
             "t_final": outcome.t_final, "t_switch": outcome.t_switch,
             "t_star": None if est is None else est.t_star,
             "rate": None if est is None else est.rate,
-            "status": "ok",
+            "status": f"failed: {outcome.kind}" if outcome.kind in FAILED_OUTCOMES else "ok",
         }
     except ChbreakError as exc:
-        return {"index": index, "family": "", "amplitude": amplitude,
-                "width": width, "delta": delta, "energy": None,
-                "forcing_bound": None, "threshold": None, "min_slope": None,
-                "criterion1": None, "t_bound": None, "outcome": None,
-                "t_final": None, "t_switch": None, "t_star": None, "rate": None,
-                "status": f"error: {exc}"}
+        row = dict.fromkeys(SWEEP_COLUMNS)
+        row.update(index=index, family="", amplitude=amplitude, width=width,
+                   delta=delta, status=f"error: {exc}")
+        return row
 
 
 def _workers(flag: int | None) -> int:
@@ -278,7 +279,10 @@ def _workers(flag: int | None) -> int:
         return max(1, flag)
     raw = os.environ.get("CHBREAK_WORKERS", "").strip()
     if raw:
-        return max(1, int(raw))
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise ConfigError(f"CHBREAK_WORKERS must be an integer, got {raw!r}") from None
     return os.cpu_count() or 1
 
 
@@ -315,15 +319,13 @@ def _cmd_sweep(args) -> int:
             return repr(value)
         return str(value)
 
-    out_fh = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else sys.stdout
-    try:
+    with _writable(args.csv or "<stdout>"), (
+            open(args.csv, "w", encoding="utf-8", newline="") if args.csv
+            else contextlib.nullcontext(sys.stdout)) as out_fh:
         writer = csv.writer(out_fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow([cell_text(row[c]) for c in SWEEP_COLUMNS])
-    finally:
-        if args.csv:
-            out_fh.close()
     n_bad = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep: {len(rows)} cells, {n_bad} failed, {elapsed:.3f} s",
           file=sys.stderr)
@@ -387,12 +389,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ChbreakError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

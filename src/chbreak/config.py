@@ -9,7 +9,7 @@ original (round-trip stability is part of the contract and is tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .grid import Grid
@@ -32,6 +32,8 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "outputs": {"records_csv": str, "summary_json": str, "plots_dir": str},
     "characteristics": {"seeds": _FLOAT_LIST},
 }
+# [solver] keys named differently from their RunConfig field
+_FIELD_OF_KEY = {"c_m": "slope_dt_factor", "m_stop": "breaking_threshold"}
 
 
 @dataclass(frozen=True)
@@ -56,13 +58,7 @@ class RunConfig:
     plots_dir: str | None = None
 
     def to_solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            grid=self.grid, datum=self.datum, profile=self.profile, t_end=self.t_end,
-            cfl_factor=self.cfl_factor, slope_dt_factor=self.slope_dt_factor,
-            dt_min=self.dt_min, breaking_threshold=self.breaking_threshold,
-            record_stride=self.record_stride, seeds=self.seeds,
-            tail_tol=self.tail_tol, collapse_margin=self.collapse_margin,
-            edge_tol=self.edge_tol)
+        return SolverConfig(**{f.name: getattr(self, f.name) for f in fields(SolverConfig)})
 
     def with_refinement(self, factor: int = 2) -> "RunConfig":
         """Same run on a grid refined by factor with the CFL tightened to match."""
@@ -201,22 +197,12 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     solver_sec = data.get("solver", {})
     if "t_end" not in solver_sec:
         raise ConfigError(f"{path}: missing required [solver] t_end")
-    outputs = data.get("outputs", {})
     seeds = data.get("characteristics", {}).get("seeds", ())
-    kwargs = {k: solver_sec[k] for k in solver_sec}
-    t_end = kwargs.pop("t_end")
-    if "c_m" in kwargs:
-        kwargs["slope_dt_factor"] = kwargs.pop("c_m")
-    if "m_stop" in kwargs:
-        kwargs["breaking_threshold"] = kwargs.pop("m_stop")
+    kwargs = {_FIELD_OF_KEY.get(k, k): v for k, v in solver_sec.items()}
+    kwargs.update(data.get("outputs", {}))
     try:
-        return RunConfig(
-            grid=grid, datum=datum, profile=profile, t_end=t_end,
-            seeds=tuple(seeds),
-            records_csv=outputs.get("records_csv"),
-            summary_json=outputs.get("summary_json"),
-            plots_dir=outputs.get("plots_dir"),
-            **kwargs)
+        return RunConfig(grid=grid, datum=datum, profile=profile, seeds=tuple(seeds),
+                         **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -273,15 +259,8 @@ def emit_config(cfg: RunConfig) -> str:
         diss_pairs += [("times", p.knot_times), ("values", p.knot_values)]
     diss_pairs.append(("delta_sup", p.delta_sup))
     section("dissipation", diss_pairs)
-    section("solver", [
-        ("t_end", cfg.t_end), ("cfl_factor", cfg.cfl_factor),
-        ("c_m", cfg.slope_dt_factor), ("dt_min", cfg.dt_min),
-        ("m_stop", cfg.breaking_threshold),
-        ("record_stride", cfg.record_stride), ("tail_tol", cfg.tail_tol),
-        ("collapse_margin", cfg.collapse_margin), ("edge_tol", cfg.edge_tol)])
-    section("outputs", [("records_csv", cfg.records_csv),
-                        ("summary_json", cfg.summary_json),
-                        ("plots_dir", cfg.plots_dir)])
+    for name in ("solver", "outputs"):
+        section(name, [(k, getattr(cfg, _FIELD_OF_KEY.get(k, k))) for k in _SCHEMA[name]])
     if cfg.seeds:
         section("characteristics", [("seeds", cfg.seeds)])
     lines.append("")

@@ -93,6 +93,23 @@ def check_criterion1(u0: Field, delta: float) -> CriterionReport:
     )
 
 
+def two_sided_certificate(delta: float, forcing: float, energy: float, point: float,
+                          slope: float, amp: float):
+    """(g0, t_bound, location, speed) where the two-sided criterion holds at point;
+    the last three are None when g0 misses the comparison lemma's threshold."""
+    spread = slope * slope - amp * amp
+    if spread <= 0.0:
+        # impossible when the condition truly holds; guards float noise
+        raise NumericsError(f"two-sided condition held at x = {point:.6g} but the slope "
+                            "does not dominate the amplitude there")
+    g0 = math.sqrt(spread)
+    t_bound = two_sided_bound(delta, forcing, g0)
+    if t_bound is None:
+        return g0, None, None, None
+    speed = math.sqrt(energy / 2.0)
+    return g0, t_bound, (point - speed * t_bound, point + speed * t_bound), speed
+
+
 def check_criterion2(u0: Field, delta: float, point: float | None = None) -> CriterionReport:
     """Two-sided criterion: slope beats amplitude plus threshold at a point.
 
@@ -119,18 +136,8 @@ def check_criterion2(u0: Field, delta: float, point: float | None = None) -> Cri
     satisfied = extreme < threshold
     g0 = t_bound = location = speed = None
     if satisfied:
-        spread = slope * slope - amp * amp
-        if spread <= 0.0:
-            # impossible when the condition truly holds; guards float noise
-            raise NumericsError(
-                f"two-sided condition held at x = {point:.6g} but the slope "
-                "does not dominate the amplitude there"
-            )
-        g0 = math.sqrt(spread)
-        t_bound = two_sided_bound(delta, big_k, g0)
-        if t_bound is not None:
-            speed = math.sqrt(energy / 2.0)
-            location = (point - speed * t_bound, point + speed * t_bound)
+        g0, t_bound, location, speed = two_sided_certificate(
+            delta, big_k, energy, point, slope, amp)
     return CriterionReport(
         kind="mixed",
         satisfied=satisfied,
@@ -150,16 +157,20 @@ def check_criterion2(u0: Field, delta: float, point: float | None = None) -> Cri
     )
 
 
+def _slope_min_and_forcing(u: Field) -> tuple[float, float]:
+    """(m, B) at the slope argmin; ties resolve to the smallest grid point."""
+    ux = deriv(u)
+    j = int(np.argmin(ux.values))
+    return float(ux.values[j]), float(bounded_forcing(u).values[j])
+
+
 def m_prime_rhs(u: Field, t: float, profile: DissipationProfile) -> float:
     """Instantaneous d/dt of the minimum slope, from the slope equation.
 
     At the slope argmin the convective term drops, leaving
-    -m^2/2 - lambda m + B. Ties resolve to the smallest grid point.
+    -m^2/2 - lambda m + B.
     """
-    ux = deriv(u)
-    j = int(np.argmin(ux.values))
-    m = float(ux.values[j])
-    b = float(bounded_forcing(u).values[j])
+    m, b = _slope_min_and_forcing(u)
     return -0.5 * m * m - profile.rate(t) * m + b
 
 
@@ -169,7 +180,5 @@ def riccati_forcing(u: Field, t: float, profile: DissipationProfile) -> float:
     Equals B at the slope argmin plus lambda^2/2; bounded in magnitude by
     forcing_constant(E0) + delta^2/2 for as long as the solution is smooth.
     """
-    ux = deriv(u)
-    j = int(np.argmin(ux.values))
     lam = profile.rate(t)
-    return float(bounded_forcing(u).values[j]) + 0.5 * lam * lam
+    return _slope_min_and_forcing(u)[1] + 0.5 * lam * lam

@@ -40,6 +40,15 @@ class RateEstimate:
     fit_residual: float   # max |(-1/m) - line| over the window
 
 
+def geometric_mean(a, b) -> np.ndarray:
+    """sqrt(-a * b) where a and b have opposite signs; nan elsewhere."""
+    prod = -np.asarray(a) * np.asarray(b)
+    out = np.full_like(prod, np.nan)
+    ok = prod > 0.0
+    out[ok] = np.sqrt(prod[ok])
+    return out
+
+
 def reciprocal_blowup_fit(ts: np.ndarray, vals: np.ndarray,
                           entry: float = DEFAULT_FIT_ENTRY) -> RateEstimate | None:
     """Least-squares line through y = -1/vals on the tail where vals < entry.

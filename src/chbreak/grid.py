@@ -278,9 +278,7 @@ def dealiased_product(f: Field, g: Field) -> Field:
 
 
 def dealiased_square(f: Field) -> Field:
-    grid = f.grid
-    a = _pad_to_fine(grid, np.fft.rfft(f.values))
-    return from_spectrum(grid, _truncate_from_fine(grid, a * a))
+    return dealiased_product(f, f)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +293,11 @@ def check_edge_decay(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> bool:
     those sinc tails decay only polynomially in x, so they pollute raw edge
     values at an amplitude that says nothing about boundary mass.
     """
-    v = f.values
+    return _edges_negligible(f.values, edge_tol)
+
+
+def _edges_negligible(v: np.ndarray, edge_tol: float) -> bool:
+    """The two nodes at each end are within edge_tol of the peak magnitude."""
     peak = float(np.max(np.abs(v)))
     if peak == 0.0:
         return True
@@ -312,25 +314,28 @@ def smoothed_edge_decay(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> bool:
     """
     s = np.fft.irfft(np.fft.rfft(f.values) * f.grid.helmholtz_multiplier,
                      f.grid.n_points)
-    peak = float(np.max(np.abs(s)))
-    if peak == 0.0:
-        return True
-    edge = max(float(np.max(np.abs(s[:2]))), float(np.max(np.abs(s[-2:]))))
-    return edge <= edge_tol * peak
+    return _edges_negligible(s, edge_tol)
 
 
-def _one_sided_cells(f: Field, left_weights: bool) -> np.ndarray:
-    w_right, w_left, _ = f.grid._conv_weights
+def _one_sided_cells(f: Field, edge_tol: float, left_weights: bool,
+                     name: str) -> tuple[np.ndarray, float]:
+    """Cell integrals and per-cell decay for a one-sided kernel, after
+    checking the kernel's preconditions (finite input, edge decay)."""
+    _require_finite(f.values, f"{name} input")
+    if not smoothed_edge_decay(f, edge_tol):
+        raise EdgeDecayError(f"{name}: field does not decay at the domain edges")
+    w_right, w_left, decay = f.grid._conv_weights
     w = w_left if left_weights else w_right
     v = f.values
     # cell j spans [x_j, x_{j+1}); its cubic uses nodes j-1..j+2 with
     # periodic wrap, which the edge-decay precondition makes harmless
-    return (
+    cells = (
         w[0] * np.roll(v, 1)
         + w[1] * v
         + w[2] * np.roll(v, -1)
         + w[3] * np.roll(v, -2)
     )
+    return cells, decay
 
 
 def conv_P_plus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
@@ -342,11 +347,7 @@ def conv_P_plus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
     low-frequency effect, and band-edge ringing is harmless at this
     tolerance because the kernel weights it by at most one).
     """
-    _require_finite(f.values, "conv_P_plus input")
-    if not smoothed_edge_decay(f, edge_tol):
-        raise EdgeDecayError("conv_P_plus: field does not decay at the domain edges")
-    cells = _one_sided_cells(f, left_weights=False)
-    decay = f.grid._conv_weights[2]
+    cells, decay = _one_sided_cells(f, edge_tol, False, "conv_P_plus")
     running = lfilter([1.0], [1.0, -decay], cells)
     out = np.empty(f.grid.n_points)
     out[0] = 0.0
@@ -356,11 +357,7 @@ def conv_P_plus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
 
 def conv_P_minus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
     """Right-sided kernel: (1/2) e^x integral_x^inf e^(-y) f(y) dy."""
-    _require_finite(f.values, "conv_P_minus input")
-    if not smoothed_edge_decay(f, edge_tol):
-        raise EdgeDecayError("conv_P_minus: field does not decay at the domain edges")
-    cells = _one_sided_cells(f, left_weights=True)
-    decay = f.grid._conv_weights[2]
+    cells, decay = _one_sided_cells(f, edge_tol, True, "conv_P_minus")
     running = lfilter([1.0], [1.0, -decay], cells[::-1])[::-1]
     return Field(f.grid, 0.5 * running)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,19 +130,36 @@ class DissipationProfile:
             total += float(vs[-1]) * (t - float(ts[-1]))
         return total
 
-    def validate_horizon(self, t_end: float, n_sample: int = 2048) -> None:
+    def _extremes(self, t_end: float) -> tuple[float, float]:
+        """Exact (inf, sup) of lambda on [0, t_end].
+
+        lambda is monotone between the candidates checked here: the
+        endpoints, the interior knots of a piecewise profile, and the crest
+        and trough phases of a sinusoid.
+        """
+        times = [0.0, t_end] + [t for t in self.knot_times if 0.0 < t < t_end]
+        values = [self.rate(t) for t in times]
+        if self.kind == "sinusoidal":
+            offset, amp, omega = self.params
+            lo, hi = sorted((0.0, omega * t_end))
+            for sign, phase in ((1.0, 0.5 * math.pi), (-1.0, 1.5 * math.pi)):
+                # is some phase + 2 pi k inside [lo, hi]?
+                turns = (lo - phase) / (2.0 * math.pi), (hi - phase) / (2.0 * math.pi)
+                if math.ceil(turns[0]) <= math.floor(turns[1]):
+                    values.append(offset + sign * amp)
+        return min(values), max(values)
+
+    def validate_horizon(self, t_end: float) -> None:
         """Certify delta_sup >= lambda on [0, t_end]."""
-        ts = np.linspace(0.0, t_end, n_sample)
-        peak = max(self.rate(float(t)) for t in ts)
+        peak = self._extremes(t_end)[1]
         if self.delta_sup < peak - 1e-9 * max(1.0, abs(peak)):
             raise ConfigError(
-                f"delta_sup={self.delta_sup} is below max lambda ~ {peak:.6g} on [0, {t_end}]")
+                f"delta_sup={self.delta_sup} is below max lambda = {peak:.6g} on [0, {t_end}]")
 
-    def is_dissipative(self, t_end: float, n_sample: int = 2048) -> bool:
+    def is_dissipative(self, t_end: float) -> bool:
         """True when lambda stays nonnegative on [0, t_end]; the decay-based
         amplitude and localization bounds assume this."""
-        ts = np.linspace(0.0, t_end, n_sample)
-        return min(self.rate(float(t)) for t in ts) >= -1e-12
+        return self._extremes(t_end)[0] >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -249,34 +267,46 @@ def make_datum(datum: InitialDatum, grid: Grid, edge_tol: float = 1e-8) -> Field
 # Evolution operators
 
 
-def _nonlinear_spectra(grid: Grid, v: np.ndarray):
-    """Band-limited spectra of u^2, u_x^2, u u_x, u^3 for a state vector."""
+class NonlinearSpectra(NamedTuple):
+    """Spectra of one state and its band-limited nonlinear terms."""
+
+    u: np.ndarray         # u
+    ux: np.ndarray        # u_x
+    advect: np.ndarray    # u u_x
+    sq: np.ndarray        # u^2
+    slopesq: np.ndarray   # u_x^2
+    local: np.ndarray     # u^2 + h(u)
+    flux: np.ndarray      # F = u^2 + u_x^2/2 + h(u)
+
+
+def _nonlinear_spectra(grid: Grid, v: np.ndarray) -> NonlinearSpectra:
+    """The one place F and u^2 + h(u) are assembled, for a state vector."""
     u_hat = np.fft.rfft(v)
     ux_hat = u_hat * (1j * grid.wavenumbers)
     ux_hat[-1] = 0.0
     u_fine = _pad_to_fine(grid, u_hat)
     ux_fine = _pad_to_fine(grid, ux_hat)
-    sq_hat = _truncate_from_fine(grid, u_fine * u_fine)
-    slopesq_hat = _truncate_from_fine(grid, ux_fine * ux_fine)
-    advect_hat = _truncate_from_fine(grid, u_fine * ux_fine)
-    cube_hat = _truncate_from_fine(grid, _pad_to_fine(grid, sq_hat) * u_fine)
-    return u_hat, sq_hat, slopesq_hat, advect_hat, cube_hat
+    sq = _truncate_from_fine(grid, u_fine * u_fine)
+    slopesq = _truncate_from_fine(grid, ux_fine * ux_fine)
+    advect = _truncate_from_fine(grid, u_fine * ux_fine)
+    cube = _truncate_from_fine(grid, _pad_to_fine(grid, sq) * u_fine)
+    local = cube - 0.5 * sq
+    return NonlinearSpectra(u_hat, ux_hat, advect, sq, slopesq, local, local + 0.5 * slopesq)
 
 
 def h_eval(u: Field) -> Field:
     """h(u) = u^3 - (3/2) u^2 with fully dealiased products."""
-    _, sq_hat, _, _, cube_hat = _nonlinear_spectra(u.grid, u.values)
-    return from_spectrum(u.grid, cube_hat - 1.5 * sq_hat)
+    s = _nonlinear_spectra(u.grid, u.values)
+    return from_spectrum(u.grid, s.local - s.sq)
 
 
 def rhs(u: Field, t: float, profile: DissipationProfile) -> Field:
     """Time derivative of u in the nonlocal form."""
     grid = u.grid
-    _, sq_hat, slopesq_hat, advect_hat, cube_hat = _nonlinear_spectra(grid, u.values)
-    flux_hat = cube_hat - 0.5 * sq_hat + 0.5 * slopesq_hat  # u^2 + ux^2/2 + h(u)
-    grad_conv = flux_hat * grid.helmholtz_multiplier * (1j * grid.wavenumbers)
+    s = _nonlinear_spectra(grid, u.values)
+    grad_conv = s.flux * grid.helmholtz_multiplier * (1j * grid.wavenumbers)
     grad_conv[-1] = 0.0
-    out = np.fft.irfft(-advect_hat - grad_conv, grid.n_points)
+    out = np.fft.irfft(-s.advect - grad_conv, grid.n_points)
     out -= profile.rate(t) * u.values
     return Field(grid, out)
 
@@ -287,36 +317,24 @@ def bounded_forcing(u: Field) -> Field:
     This is the portion of the slope dynamics that stays bounded by the
     initial energy (|B| <= K) while the slope itself diverges.
     """
-    grid = u.grid
-    _, sq_hat, slopesq_hat, _, cube_hat = _nonlinear_spectra(grid, u.values)
-    local_hat = cube_hat - 0.5 * sq_hat               # u^2 + h(u)
-    flux_hat = local_hat + 0.5 * slopesq_hat
-    return from_spectrum(grid, local_hat - flux_hat * grid.helmholtz_multiplier)
+    s = _nonlinear_spectra(u.grid, u.values)
+    return from_spectrum(u.grid, s.local - s.flux * u.grid.helmholtz_multiplier)
 
 
 def slope_rhs(u: Field, t: float, profile: DissipationProfile) -> Field:
     """Time derivative of u_x: -ux^2/2 - u u_xx + B(u) - lambda(t) ux.
 
-    Identical to deriv(rhs(u)) up to roundoff; kept as a separate route so
-    the slope dynamics can be cross-checked against the direct one.
+    Identical to deriv(rhs(u)) up to roundoff; its own u u_xx product keeps
+    it a separate route, so the slope dynamics can be cross-checked against
+    the direct one.
     """
     grid = u.grid
-    u_hat = np.fft.rfft(u.values)
+    s = _nonlinear_spectra(grid, u.values)
     k = grid.wavenumbers
-    ux_hat = u_hat * (1j * k)
-    ux_hat[-1] = 0.0
-    uxx_hat = -u_hat * (k * k)
-    u_fine = _pad_to_fine(grid, u_hat)
-    ux_fine = _pad_to_fine(grid, ux_hat)
-    uxx_fine = _pad_to_fine(grid, uxx_hat)
-    sq_hat = _truncate_from_fine(grid, u_fine * u_fine)
-    slopesq_hat = _truncate_from_fine(grid, ux_fine * ux_fine)
-    bend_hat = _truncate_from_fine(grid, u_fine * uxx_fine)
-    cube_hat = _truncate_from_fine(grid, _pad_to_fine(grid, sq_hat) * u_fine)
-    local_hat = cube_hat - 0.5 * sq_hat
-    flux_hat = local_hat + 0.5 * slopesq_hat
-    forcing_hat = local_hat - flux_hat * grid.helmholtz_multiplier
-    out_hat = -0.5 * slopesq_hat - bend_hat + forcing_hat - profile.rate(t) * ux_hat
+    bend_hat = _truncate_from_fine(
+        grid, _pad_to_fine(grid, s.u) * _pad_to_fine(grid, -s.u * (k * k)))
+    forcing_hat = s.local - s.flux * grid.helmholtz_multiplier
+    out_hat = -0.5 * s.slopesq - bend_hat + forcing_hat - profile.rate(t) * s.ux
     return from_spectrum(grid, out_hat)
 
 
@@ -375,8 +393,8 @@ def find_breaking_datum(
     first hit is the widest, best-resolved qualifying datum. Raises
     SearchError when no width in the range reaches the requested margin.
     """
-    from .criteria import forcing_constant, slope_threshold
-    from .riccati import omega_bound, two_sided_bound
+    from .criteria import forcing_constant, slope_threshold, two_sided_certificate
+    from .riccati import omega_bound
 
     if criterion not in ("slope_only", "mixed"):
         raise ConfigError(f"unknown criterion {criterion!r}")
@@ -402,13 +420,10 @@ def find_breaking_datum(
             if criterion == "slope_only":
                 t_bound = omega_bound(delta, big_k, extreme)
             else:
-                slope_at = float(datum.derivative(np.array([point]))[0])
-                amp_at = float(datum.evaluate(np.array([point]))[0])
-                g0 = math.sqrt(slope_at * slope_at - amp_at * amp_at)
-                t_bound = two_sided_bound(delta, big_k, g0)
-                if t_bound is not None:
-                    speed = math.sqrt(energy / 2.0)
-                    location = (point - speed * t_bound, point + speed * t_bound)
+                g0, t_bound, location, _ = two_sided_certificate(
+                    delta, big_k, energy, point,
+                    float(datum.derivative(np.array([point]))[0]),
+                    float(datum.evaluate(np.array([point]))[0]))
             return BreakingSearchResult(
                 datum=datum, criterion=criterion, delta=delta, point=point,
                 extreme=extreme, threshold=threshold, margin=got,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import RateEstimate, reciprocal_blowup_fit
+from .diagnostics import RateEstimate, geometric_mean, reciprocal_blowup_fit
 from .errors import ConfigError
 
 DEFAULT_DIVERGENCE = 1.0e8
@@ -61,11 +61,7 @@ class CoupledTrajectory:
 
     def geometric_mean(self) -> np.ndarray:
         """sqrt(-rising * falling); nan where the product has the wrong sign."""
-        prod = -self.rising * self.falling
-        out = np.full_like(prod, np.nan)
-        ok = prod > 0.0
-        out[ok] = np.sqrt(prod[ok])
-        return out
+        return geometric_mean(self.rising, self.falling)
 
 
 def omega_bound(delta: float, forcing: float, omega0: float) -> float | None:
@@ -120,12 +116,33 @@ def two_sided_bound(delta: float, forcing: float, g0: float) -> float | None:
     return chen_bound(0.5, drain, f0)
 
 
-def _rk4_step(fun, y, dt):
-    k1 = fun(y)
-    k2 = fun(y + 0.5 * dt * k1)
-    k3 = fun(y + 0.5 * dt * k2)
-    k4 = fun(y + dt * k3)
+def rk4(fun, t, y, dt):
+    """One classical RK4 step of y' = fun(t, y) for a float, ndarray or Field y."""
+    k1 = fun(t, y)
+    k2 = fun(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = fun(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = fun(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _march(fun, y0, t_max, step_scale, divergence):
+    """RK4 from t = 0 with steps step_scale / max(1, |y|), |y| the largest
+    component, until t_max, |y| >= divergence or a non-finite step.
+
+    Returns the sample times, the samples and whether |y| diverged.
+    """
+    ts, ys = [0.0], [y0]
+    t, y = 0.0, y0
+    while t < t_max and np.max(np.abs(y)) < divergence:
+        dt = min(step_scale / max(1.0, float(np.max(np.abs(y)))), t_max - t)
+        y = rk4(fun, t, y, dt)
+        t += dt
+        if not np.all(np.isfinite(y)):
+            break
+        ts.append(t)
+        ys.append(y)
+    ys_arr = np.array(ys)
+    return np.array(ts), ys_arr, bool(np.max(np.abs(ys_arr[-1])) >= divergence)
 
 
 def solve_omega(
@@ -144,21 +161,8 @@ def solve_omega(
     are returned as well (linear interpolation of the dense solution, nan
     past the blow-up cutoff).
     """
-    fun = lambda y: -delta * y - 0.5 * y * y + forcing
-    ts = [0.0]
-    ys = [float(omega0)]
-    t, y = 0.0, float(omega0)
-    while t < t_max and abs(y) < divergence:
-        dt = min(step_scale / max(1.0, abs(y)), t_max - t)
-        y = _rk4_step(fun, y, dt)
-        t += dt
-        if not math.isfinite(y):
-            break
-        ts.append(t)
-        ys.append(y)
-    ts_arr = np.array(ts)
-    ys_arr = np.array(ys)
-    blew = bool(abs(ys_arr[-1]) >= divergence)
+    fun = lambda _t, y: -delta * y - 0.5 * y * y + forcing
+    ts_arr, ys_arr, blew = _march(fun, float(omega0), t_max, step_scale, divergence)
     fit = reciprocal_blowup_fit(ts_arr, ys_arr) if blew else None
     req_t = req_v = None
     if sample_times is not None:
@@ -192,31 +196,17 @@ def solve_coupled(
     threshold; finite-difference g' via nonuniform centered differences).
     """
 
-    def fun(state):
+    def fun(_t, state):
         r, f = state
         return np.array([
             -0.5 * r * (f + 2.0 * delta) - forcing,
             0.5 * f * (r + 2.0 * delta) + forcing,
         ])
 
-    ts = [0.0]
-    states = [np.array([float(rising0), float(falling0)])]
-    t = 0.0
-    state = states[0]
-    while t < t_max and float(np.max(np.abs(state))) < divergence:
-        size = max(1.0, float(np.max(np.abs(state))))
-        dt = min(step_scale / size, t_max - t)
-        state = _rk4_step(fun, state, dt)
-        t += dt
-        if not np.all(np.isfinite(state)):
-            break
-        ts.append(t)
-        states.append(state)
-    ts_arr = np.array(ts)
-    arr = np.array(states)
+    start = np.array([float(rising0), float(falling0)])
+    ts_arr, arr, blew = _march(fun, start, t_max, step_scale, divergence)
     rising = arr[:, 0]
     falling = arr[:, 1]
-    blew = bool(np.max(np.abs(arr[-1])) >= divergence)
     fit = reciprocal_blowup_fit(ts_arr, falling) if blew else None
     g_margin = _g_inequality_margin(ts_arr, rising, falling, delta, forcing)
     return CoupledTrajectory(ts_arr, rising, falling, blew, fit, g_margin)
@@ -227,11 +217,9 @@ def _g_inequality_margin(ts, rising, falling, delta, forcing):
     # proof regime (signs intact, g above the entry threshold)
     if ts.size < 3:
         return None
-    prod = -rising * falling
-    ok = prod > 0.0
-    g = np.where(ok, np.sqrt(np.maximum(prod, 0.0)), np.nan)
+    g = geometric_mean(rising, falling)
     threshold = delta + math.sqrt(delta * delta + 2.0 * forcing)
-    eligible = ok & (rising > 0.0) & (falling < 0.0) & (g > threshold)
+    eligible = (rising > 0.0) & (falling < 0.0) & (g > threshold)
     eligible[0] = eligible[-1] = False
     dg = np.gradient(g, ts)
     quad = 0.5 * g * g - delta * g - forcing

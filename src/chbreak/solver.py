@@ -43,6 +43,7 @@ from .model import (
     make_datum,
     rhs,
 )
+from .riccati import rk4
 
 OUTCOME_KINDS = ("reached_horizon", "breaking_detected", "dt_underflow", "edge_decay_lost")
 
@@ -98,11 +99,7 @@ class RunOutcome:
 
 
 def _rk4(u: Field, t: float, dt: float, profile: DissipationProfile) -> Field:
-    k1 = rhs(u, t, profile)
-    k2 = rhs(u + (0.5 * dt) * k1, t + 0.5 * dt, profile)
-    k3 = rhs(u + (0.5 * dt) * k2, t + 0.5 * dt, profile)
-    k4 = rhs(u + dt * k3, t + dt, profile)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rk4(lambda s, v: rhs(v, s, profile), t, u, dt)
 
 
 def step(state: SolverState, cfg: SolverConfig) -> SolverState:
@@ -136,12 +133,11 @@ def _record(state_t, energy, m, x_at, sup, dt, profile) -> DiagnosticsRecord:
         sup_abs=sup, dt=dt, lam_integral=profile.integral(state_t))
 
 
-def _emit(records: list, sink, rec: DiagnosticsRecord, state_sink=None, live=None) -> None:
-    records.append(rec)
-    if sink is not None:
-        sink(rec)
-    if state_sink is not None:
-        state_sink(rec, live)
+def _measure(u: Field) -> tuple[float, int, float]:
+    """(minimum slope, its grid index, H^1 energy) of a live state."""
+    ux = deriv(u)
+    j = int(np.argmin(ux.values))
+    return float(ux.values[j]), j, h1_norm_sq(u)
 
 
 def run(cfg: SolverConfig, sink=None, state_sink=None) -> RunOutcome:
@@ -155,8 +151,7 @@ def run(cfg: SolverConfig, sink=None, state_sink=None) -> RunOutcome:
     profile = cfg.profile
     profile.validate_horizon(cfg.t_end)
     u = make_datum(cfg.datum, cfg.grid, cfg.edge_tol)
-    energy0 = h1_norm_sq(u)
-    dissipative = profile.is_dissipative(cfg.t_end)
+    m, j, energy = _measure(u)
     records: list[DiagnosticsRecord] = []
     tracks: list[CharacteristicTrack] = []
     aux = None
@@ -165,109 +160,84 @@ def run(cfg: SolverConfig, sink=None, state_sink=None) -> RunOutcome:
         tracks = [start_track(s, aux) for s in cfg.seeds]
     outcome = RunOutcome(
         kind="reached_horizon", t_final=0.0, records=records, tracks=tracks,
-        energy0=energy0, dissipative=dissipative, config=cfg)
+        energy0=energy, dissipative=profile.is_dissipative(cfg.t_end), config=cfg)
+
+    def emit(t, energy, m, x_at, sup, dt, live) -> None:
+        rec = _record(t, energy, m, x_at, sup, dt, profile)
+        records.append(rec)
+        if sink is not None:
+            sink(rec)
+        if state_sink is not None:
+            state_sink(rec, live)
+
+    def emit_live(state, m, j, energy) -> None:
+        emit(state.t, energy, m, float(cfg.grid.x[j]), state.u.max_abs, state.last_dt, state.u)
 
     state = SolverState(0.0, u)
-    ux0 = deriv(u)
-    j0 = int(np.argmin(ux0.values))
-    _emit(records, sink, _record(
-        0.0, energy0, float(ux0.values[j0]), float(cfg.grid.x[j0]), u.max_abs, 0.0, profile),
-        state_sink, u)
-
-    switch_state = None
-    while state.t < cfg.t_end * (1.0 - 1e-14):
+    emit_live(state, m, j, energy)
+    stop = None
+    while stop is None and state.t < cfg.t_end * (1.0 - 1e-14):
         try:
             state = step(state, cfg)
         except NumericsError:
-            outcome.kind = "dt_underflow"
-            outcome.t_final = state.t
-            return outcome
+            stop = "dt_underflow"
+            break
         u = state.u
-        ux = deriv(u)
-        j = int(np.argmin(ux.values))
-        m = float(ux.values[j])
-        energy = h1_norm_sq(u)
+        m, j, energy = _measure(u)
         if not smoothed_edge_decay(u, cfg.edge_tol):
-            _emit(records, sink, _record(
-                state.t, energy, m, float(cfg.grid.x[j]), u.max_abs, state.last_dt, profile),
-                state_sink, u)
-            outcome.kind = "edge_decay_lost"
-            outcome.t_final = state.t
-            return outcome
-        if tracks:
+            stop = "edge_decay_lost"
+        elif tracks:
             try:
                 aux_new = build_aux(u, state.t, profile, cfg.edge_tol)
             except EdgeDecayError:
                 # the track channels need the one-sided kernels; once their
                 # input stops decaying the Eulerian phase is over
-                _emit(records, sink, _record(
-                    state.t, energy, m, float(cfg.grid.x[j]), u.max_abs,
-                    state.last_dt, profile), state_sink, u)
-                outcome.kind = "edge_decay_lost"
-                outcome.t_final = state.t
-                return outcome
-            for tr in tracks:
-                advance(tr, aux, aux_new)
-            aux = aux_new
-        due = state.step_index % cfg.record_stride == 0
-        if m <= cfg.breaking_threshold:
-            _emit(records, sink, _record(
-                state.t, energy, m, float(cfg.grid.x[j]), u.max_abs, state.last_dt, profile),
-                state_sink, u)
-            outcome.kind = "breaking_detected"
-            outcome.t_final = state.t
-            return outcome
-        if tail_fraction(u) > cfg.tail_tol:
+                stop = "edge_decay_lost"
+            else:
+                for tr in tracks:
+                    advance(tr, aux, aux_new)
+                aux = aux_new
+        if stop is None and m <= cfg.breaking_threshold:
+            stop = "breaking_detected"
+        if stop is None and tail_fraction(u) > cfg.tail_tol:
             delta = profile.delta_sup
-            k_now = forcing_constant(energy)
             certified_level = -cfg.collapse_margin * (
-                delta + math.sqrt(delta * delta + 2.0 * k_now))
+                delta + math.sqrt(delta * delta + 2.0 * forcing_constant(energy)))
             if m < certified_level:
-                _emit(records, sink, _record(
-                    state.t, energy, m, float(cfg.grid.x[j]), u.max_abs, state.last_dt, profile),
-                    state_sink, u)
-                switch_state = (state, m, j, energy)
-                break
-            if not outcome.resolution_degraded:
+                stop = "collapse"    # certified: continue against the frozen fields
+            else:
                 outcome.resolution_degraded = True
-        if due:
-            _emit(records, sink, _record(
-                state.t, energy, m, float(cfg.grid.x[j]), u.max_abs, state.last_dt, profile),
-                state_sink, u)
+        if stop is not None or state.step_index % cfg.record_stride == 0:
+            emit_live(state, m, j, energy)
 
-    if switch_state is None:
+    t_final = state.t
+    if stop == "collapse":
+        stop, t_final = _continue_collapse(cfg, outcome, emit, state, m, j, energy)
+    elif stop is None:
         # horizon reached in the Eulerian phase
         if records[-1].t < state.t * (1.0 - 1e-14):
-            u = state.u
-            ux = deriv(u)
-            j = int(np.argmin(ux.values))
-            _emit(records, sink, _record(
-                state.t, h1_norm_sq(u), float(ux.values[j]), float(cfg.grid.x[j]),
-                u.max_abs, state.last_dt, profile), state_sink, u)
-        outcome.kind = "reached_horizon"
-        outcome.t_final = state.t
-        return outcome
-
-    return _continue_collapse(cfg, outcome, sink, state_sink, switch_state)
+            emit_live(state, m, j, energy)
+        stop = "reached_horizon"
+    outcome.kind, outcome.t_final = stop, t_final
+    return outcome
 
 
-def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, sink, state_sink,
-                       switch_state) -> RunOutcome:
+def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, emit, state: SolverState,
+                       m: float, j: int, energy_sw: float) -> tuple[str, float]:
     """Integrate the closed slope law against the frozen fields.
 
     Entered only under the certificate: the slope minimum is supercritical
     for the current energy, so it decreases monotonically to -inf and the
-    bounded forcing stays bounded by the (frozen) forcing_constant.
+    bounded forcing stays bounded by the (frozen) forcing_constant. Returns
+    the outcome kind and the final time.
     """
     profile = cfg.profile
-    state, m, j, energy_sw = switch_state
     outcome.t_switch = state.t
     outcome.m_switch = m
     u_frozen = state.u
     grid = cfg.grid
     b_field = bounded_forcing(u_frozen)
-    _, sq_hat, slopesq_hat, _, cube_hat = _nonlinear_spectra(grid, u_frozen.values)
-    flux_hat = cube_hat - 0.5 * sq_hat + 0.5 * slopesq_hat
+    flux_hat = _nonlinear_spectra(grid, u_frozen.values).flux
     drift_hat = -flux_hat * grid.helmholtz_multiplier * (1j * grid.wavenumbers)
     drift_hat[-1] = 0.0
     drift = from_spectrum(grid, drift_hat)   # (P+ - P-) * F, spectral route
@@ -284,11 +254,7 @@ def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, sink, state_sink,
     step_index = state.step_index
     while m > cfg.breaking_threshold and t < cfg.t_end * (1.0 - 1e-14):
         dt = min(cfg.slope_dt_factor / max(1.0, abs(m)), cfg.t_end - t)
-        k1 = m_rate(t, m)
-        k2 = m_rate(t + 0.5 * dt, m + 0.5 * dt * k1)
-        k3 = m_rate(t + 0.5 * dt, m + 0.5 * dt * k2)
-        k4 = m_rate(t + dt, m + dt * k3)
-        m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        m = rk4(m_rate, t, m, dt)
         # front location rides the frozen velocity field
         v_xi = interp(u_frozen, xi)
         xi = xi + dt * 0.5 * (v_xi + interp(u_frozen, xi + dt * v_xi))
@@ -298,8 +264,5 @@ def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, sink, state_sink,
         step_index += 1
         law_energy = math.exp(-2.0 * (profile.integral(t) - lam_int_sw)) * energy_sw
         if step_index % cfg.record_stride == 0 or m <= cfg.breaking_threshold:
-            _emit(outcome.records, sink, _record(
-                t, law_energy, m, xi, sup_frozen, dt, profile), state_sink, None)
-    outcome.kind = "breaking_detected" if m <= cfg.breaking_threshold else "reached_horizon"
-    outcome.t_final = t
-    return outcome
+            emit(t, law_energy, m, xi, sup_frozen, dt, None)
+    return ("breaking_detected" if m <= cfg.breaking_threshold else "reached_horizon"), t

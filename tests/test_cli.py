@@ -273,6 +273,57 @@ class TestSweep:
         assert _workers(None) >= 1
 
 
+class TestSweepFailures:
+    def test_cells_that_lose_edge_decay_fail(self, tmp_path, capsys):
+        p = tmp_path / "edge.ini"
+        p.write_text(EDGE_LOSS)
+        dest = tmp_path / "sweep.csv"
+        code = main(["sweep", str(p), "--amplitudes", "0.5", "--widths", "0.4",
+                     "--workers", "1", "--csv", str(dest)])
+        assert code == 3
+        record = dict(zip(SWEEP_COLUMNS, _read_csv(dest)[1]))
+        assert record["status"] == "failed: edge_decay_lost"
+        # the failed cell keeps everything it measured
+        assert record["outcome"] == "edge_decay_lost"
+        assert record["family"] == "sech_squared"
+        assert float(record["energy"]) > 0.0
+        assert float(record["t_final"]) > 0.0
+        assert "1 cells, 1 failed" in capsys.readouterr().err
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
+class TestBadInputExitsTwo:
+    def test_non_integer_worker_count(self, smooth_cfg, monkeypatch, capsys):
+        monkeypatch.setenv("CHBREAK_WORKERS", "abc")
+        assert main(["sweep", smooth_cfg, "--amplitudes", "0.3",
+                     "--widths", "1.0"]) == 2
+        assert "CHBREAK_WORKERS" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("command,flag", [
+        ("simulate", "--records-csv"), ("simulate", "--summary-json"),
+        ("simulate", "--plots-dir"), ("riccati", "--csv"), ("criteria", "--json"),
+    ])
+    def test_unwritable_output_path(self, smooth_cfg, tmp_path, capsys, command, flag):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        # a path below a regular file can be neither opened nor created
+        target = str(blocker / "out")
+        argv = {"simulate": ["simulate", smooth_cfg],
+                "riccati": ["riccati", "--forcing", "2.0"],
+                "criteria": ["criteria", smooth_cfg]}[command]
+        assert main(argv + [flag, target]) == 2
+        _one_error_line(capsys)
+
+    def test_riccati_forcing_below_threshold_range(self, capsys):
+        assert main(["riccati", "--forcing", "-5", "--omega0", "-3"]) == 2
+        assert "--forcing" in _one_error_line(capsys)
+
+
 def test_version(capsys):
     assert main(["version"]) == 0
     assert capsys.readouterr().out.strip() == f"chbreak {chbreak.__version__}"

@@ -95,6 +95,33 @@ class TestDissipationProfile:
         assert DissipationProfile.sinusoidal(0.5, 0.4, 3.0).is_dissipative(10.0)
         assert not DissipationProfile.sinusoidal(0.0, 1.0, 3.0).is_dissipative(10.0)
 
+    def test_fast_sinusoid_crest_between_samples_is_caught(self):
+        # sup lambda = 1 on [0, 4], but no crest lies near a uniform sample
+        p = DissipationProfile.sinusoidal(0.0, 1.0, 1607.7, delta_sup=0.5)
+        with pytest.raises(ConfigError):
+            p.validate_horizon(4.0)
+
+    def test_fast_sinusoid_trough_between_samples_is_caught(self):
+        # inf lambda = -0.5 on [0, 4]
+        assert not DissipationProfile.sinusoidal(0.5, 1.0, 1607.7).is_dissipative(4.0)
+
+    def test_extremes_without_a_crest_are_the_endpoints(self):
+        # sin rises monotonically on [0, 1]: sup is lambda(1), inf is lambda(0)
+        p = DissipationProfile.sinusoidal(0.0, 1.0, 1.0, delta_sup=math.sin(1.0))
+        p.validate_horizon(1.0)
+        assert p.is_dissipative(1.0)
+        with pytest.raises(ConfigError):
+            DissipationProfile.sinusoidal(0.0, 1.0, 1.0, delta_sup=0.8).validate_horizon(1.0)
+
+    def test_piecewise_extremes_at_interior_knots(self):
+        p = DissipationProfile.piecewise((0.0, 1.0, 3.0), (0.2, 0.9, -0.1), delta_sup=0.9)
+        p.validate_horizon(3.0)
+        assert not p.is_dissipative(3.0)
+        assert p.is_dissipative(2.0)
+        with pytest.raises(ConfigError):
+            DissipationProfile.piecewise((0.0, 1.0, 3.0), (0.2, 0.9, -0.1),
+                                         delta_sup=0.89).validate_horizon(3.0)
+
 
 # closed-form H^1 energies of the analytic families
 def _gaussian_energy(a, w):
