@@ -21,16 +21,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .diagnostics import geometric_mean
-from .grid import (
-    Field,
-    conv_P_minus,
-    conv_P_plus,
-    deriv,
-    from_spectrum,
-    interp,
-    second_deriv,
-)
-from .model import DissipationProfile, _nonlinear_spectra, rhs, slope_rhs
+from .grid import Field, conv_P_minus, conv_P_plus, from_spectrum, interp
+from .model import DissipationProfile, _nonlinear_spectra, _rhs_from, _slope_rhs_from
 from .riccati import rk4
 
 SLOPE_RELIABLE_LIMIT = 1.0e5
@@ -53,19 +45,28 @@ class TrackAux:
 
 def build_aux(u: Field, t: float, profile: DissipationProfile,
               edge_tol: float = 1.0e-8) -> TrackAux:
-    flux = from_spectrum(u.grid, _nonlinear_spectra(u.grid, u.values).flux)
+    """Every per-step field the tracks read, from one pass of the kernel.
+
+    ux, uxx, rhs_field and slope_field equal deriv, second_deriv, rhs and
+    slope_rhs of u bit for bit; they only share that pass.
+    """
+    grid = u.grid
+    lam = profile.rate(t)
+    s = _nonlinear_spectra(grid, u.values)
+    flux = from_spectrum(grid, s.flux)
     plus = conv_P_plus(flux, edge_tol)
     minus = conv_P_minus(flux, edge_tol)
+    k = grid.wavenumbers
     return TrackAux(
         t=t,
-        lam=profile.rate(t),
+        lam=lam,
         u=u,
-        ux=deriv(u),
-        uxx=second_deriv(u),
+        ux=from_spectrum(grid, s.ux),
+        uxx=from_spectrum(grid, s.u * -(k * k)),
         conv_sum=plus + minus,
         conv_diff=plus - minus,
-        rhs_field=rhs(u, t, profile),
-        slope_field=slope_rhs(u, t, profile),
+        rhs_field=_rhs_from(u, s, lam),
+        slope_field=_slope_rhs_from(grid, s, lam),
     )
 
 

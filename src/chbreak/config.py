@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 from .errors import ConfigError
 from .grid import Grid
 from .model import DATUM_FAMILIES, DissipationProfile, InitialDatum, PROFILE_KINDS
-from .solver import SolverConfig
+from .solver import SolverConfig, check_controls
 
 _FLOAT_LIST = "float_list"
 
@@ -56,6 +56,9 @@ class RunConfig:
     records_csv: str | None = None
     summary_json: str | None = None
     plots_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        check_controls(self)
 
     def to_solver_config(self) -> SolverConfig:
         return SolverConfig(**{f.name: getattr(self, f.name) for f in fields(SolverConfig)})

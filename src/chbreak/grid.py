@@ -125,7 +125,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Real scalar field sampled on a Grid."""
+    """Real scalar field sampled on a Grid.
+
+    A Field is a value: its `values` are a read-only view and are never
+    mutated in place, and every operation returns a new Field. That is what
+    lets spectra derived from the values be computed once per instance and
+    cached (weighted_spectrum).
+    """
 
     grid: Grid
     values: np.ndarray
@@ -134,6 +140,8 @@ class Field:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n_points,):
             raise ValueError(f"values shape {v.shape} does not match grid with N={self.grid.n_points}")
+        v = v.view()
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def _match(self, other: "Field") -> None:
@@ -162,6 +170,17 @@ class Field:
     @property
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+    @cached_property
+    def weighted_spectrum(self) -> np.ndarray:
+        """rfft of the values with the interior modes doubled, so that the
+        real interpolant is a one-sided sum over k = 0..N/2 (interp).
+
+        Computed on first use and cached on this instance.
+        """
+        coeffs = np.fft.rfft(self.values)
+        coeffs[1:-1] *= 2.0
+        return coeffs
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -366,23 +385,38 @@ def conv_P_minus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
 # Interpolation and norms
 
 
+# interp's phase tables split each mode index as k = _PHASE_BLOCK * a + b
+_PHASE_BLOCK = 64
+
+
+def _phases(theta: np.ndarray, count: int) -> np.ndarray:
+    """e^(i theta k) for k = 0..count-1, one row per entry of theta.
+
+    Each row is the outer product of two short tables, e^(i theta 64 a) and
+    e^(i theta b) for b < 64, so a row costs about count/64 + 64 complex
+    exponentials instead of count.
+    """
+    blocks = -(-count // _PHASE_BLOCK)
+    column = theta[:, None]
+    coarse = np.exp(1j * column * (_PHASE_BLOCK * np.arange(blocks)))
+    fine = np.exp(1j * column * np.arange(_PHASE_BLOCK))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(theta.size, -1)[:, :count]
+
+
 def interp(f: Field, points) -> np.ndarray | float:
     """Evaluate the trigonometric interpolant at arbitrary points.
 
     Scalar in, scalar out; array in, array out. Spectrally accurate for
-    band-limited fields and exact at the nodes.
+    band-limited fields and exact at the nodes. The field's spectrum comes
+    from its cache (Field.weighted_spectrum), so repeated calls on one field
+    transform it once; the phases come from _phases.
     """
     scalar = np.isscalar(points)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     grid = f.grid
-    coeffs = np.fft.rfft(f.values)
-    n = grid.n_points
-    weights = np.full(coeffs.size, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0  # Nyquist counted once
-    theta = (pts[:, None] + grid.half_length) * (np.pi / grid.half_length)
-    phases = np.exp(1j * theta * np.arange(coeffs.size))
-    vals = (phases @ (weights * coeffs)).real / n
+    coeffs = f.weighted_spectrum
+    theta = (pts + grid.half_length) * (np.pi / grid.half_length)
+    vals = (_phases(theta, coeffs.size) @ coeffs).real / grid.n_points
     return float(vals[0]) if scalar else vals
 
 

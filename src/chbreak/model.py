@@ -300,15 +300,19 @@ def h_eval(u: Field) -> Field:
     return from_spectrum(u.grid, s.local - s.sq)
 
 
-def rhs(u: Field, t: float, profile: DissipationProfile) -> Field:
-    """Time derivative of u in the nonlocal form."""
+def _rhs_from(u: Field, s: NonlinearSpectra, lam: float) -> Field:
+    """rhs of u from its kernel spectra s, at damping rate lam."""
     grid = u.grid
-    s = _nonlinear_spectra(grid, u.values)
     grad_conv = s.flux * grid.helmholtz_multiplier * (1j * grid.wavenumbers)
     grad_conv[-1] = 0.0
     out = np.fft.irfft(-s.advect - grad_conv, grid.n_points)
-    out -= profile.rate(t) * u.values
+    out -= lam * u.values
     return Field(grid, out)
+
+
+def rhs(u: Field, t: float, profile: DissipationProfile) -> Field:
+    """Time derivative of u in the nonlocal form."""
+    return _rhs_from(u, _nonlinear_spectra(u.grid, u.values), profile.rate(t))
 
 
 def bounded_forcing(u: Field) -> Field:
@@ -321,6 +325,16 @@ def bounded_forcing(u: Field) -> Field:
     return from_spectrum(u.grid, s.local - s.flux * u.grid.helmholtz_multiplier)
 
 
+def _slope_rhs_from(grid: Grid, s: NonlinearSpectra, lam: float) -> Field:
+    """slope_rhs from the kernel spectra s of u, at damping rate lam."""
+    k = grid.wavenumbers
+    bend_hat = _truncate_from_fine(
+        grid, _pad_to_fine(grid, s.u) * _pad_to_fine(grid, -s.u * (k * k)))
+    forcing_hat = s.local - s.flux * grid.helmholtz_multiplier
+    out_hat = -0.5 * s.slopesq - bend_hat + forcing_hat - lam * s.ux
+    return from_spectrum(grid, out_hat)
+
+
 def slope_rhs(u: Field, t: float, profile: DissipationProfile) -> Field:
     """Time derivative of u_x: -ux^2/2 - u u_xx + B(u) - lambda(t) ux.
 
@@ -328,14 +342,7 @@ def slope_rhs(u: Field, t: float, profile: DissipationProfile) -> Field:
     it a separate route, so the slope dynamics can be cross-checked against
     the direct one.
     """
-    grid = u.grid
-    s = _nonlinear_spectra(grid, u.values)
-    k = grid.wavenumbers
-    bend_hat = _truncate_from_fine(
-        grid, _pad_to_fine(grid, s.u) * _pad_to_fine(grid, -s.u * (k * k)))
-    forcing_hat = s.local - s.flux * grid.helmholtz_multiplier
-    out_hat = -0.5 * s.slopesq - bend_hat + forcing_hat - profile.rate(t) * s.ux
-    return from_spectrum(grid, out_hat)
+    return _slope_rhs_from(u.grid, _nonlinear_spectra(u.grid, u.values), profile.rate(t))
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,27 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise ValueError("t_end must be finite and >= 0")
-        if not (0.0 < self.cfl_factor <= 1.0):
-            raise ValueError("cfl_factor must lie in (0, 1]")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        if self.breaking_threshold >= 0.0:
-            raise ValueError("breaking_threshold must be negative")
+        check_controls(self)
+
+
+def check_controls(cfg) -> None:
+    """Range checks on the step, record and certificate controls.
+
+    Shared by SolverConfig and RunConfig, so a config file with a bad value
+    is rejected when it is read.
+    """
+    if not (0.0 < cfg.cfl_factor <= 1.0):
+        raise ValueError("cfl_factor must lie in (0, 1]")
+    if cfg.record_stride < 1:
+        raise ValueError("record_stride must be >= 1")
+    if not cfg.dt_min > 0.0:
+        raise ValueError("dt_min must be > 0")
+    if not cfg.collapse_margin >= 1.0:
+        # below 1 the switch level lies above the supercritical threshold,
+        # so the frozen law would be continued without a certificate
+        raise ValueError("collapse_margin must be >= 1")
+    if cfg.breaking_threshold >= 0.0:
+        raise ValueError("breaking_threshold must be negative")
 
 
 @dataclass

@@ -21,6 +21,8 @@ from chbreak import (
     start_track,
 )
 from chbreak.characteristics import advance_frozen
+from chbreak.grid import deriv, second_deriv
+from chbreak.model import rhs, slope_rhs
 
 SMOOTH_GRID = Grid(30.0, 2048)
 SMOOTH_DATUM = InitialDatum("gaussian_derivative", amplitude=0.8, width=1.3,
@@ -93,6 +95,17 @@ class TestBasicTransport:
         assert tr.n_samples == 1
         assert tr.times == [0.0]
         assert not tr.edge_contaminated
+
+    def test_aux_fields_match_the_separate_operators_bit_for_bit(self):
+        # build_aux shares one kernel pass; the separate calls are the reference
+        u = make_datum(SMOOTH_DATUM, SMOOTH_GRID)
+        t = 0.4
+        aux = build_aux(u, t, SMOOTH_PROFILE)
+        assert aux.lam == SMOOTH_PROFILE.rate(t)
+        for got, expect in ((aux.ux, deriv(u)), (aux.uxx, second_deriv(u)),
+                            (aux.rhs_field, rhs(u, t, SMOOTH_PROFILE)),
+                            (aux.slope_field, slope_rhs(u, t, SMOOTH_PROFILE))):
+            assert np.array_equal(got.values, expect.values)
 
 
 class TestConvergence:

@@ -319,6 +319,20 @@ class TestBadInputExitsTwo:
         assert main(argv + [flag, target]) == 2
         _one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("entry", [
+        "cfl_factor = 2.0", "record_stride = 0", "collapse_margin = 0.2", "dt_min = 0.0",
+    ])
+    def test_out_of_range_solver_value(self, tmp_path, capsys, command, entry):
+        path = tmp_path / "bad.ini"
+        path.write_text(SMOOTH + entry + "\n")   # SMOOTH ends inside [solver]
+        argv = [command, str(path)]
+        if command == "sweep":
+            argv += ["--amplitudes", "0.3", "--widths", "1.0", "--workers", "1"]
+        assert main(argv) == 2
+        err = _one_error_line(capsys)
+        assert f"error: {path}: " in err and entry.split()[0] in err
+
     def test_riccati_forcing_below_threshold_range(self, capsys):
         assert main(["riccati", "--forcing", "-5", "--omega0", "-3"]) == 2
         assert "--forcing" in _one_error_line(capsys)

@@ -32,7 +32,7 @@ from chbreak import (
     smoothed_edge_decay,
     tail_fraction,
 )
-from chbreak.grid import _exp_moments, from_spectrum, spectrum
+from chbreak.grid import _exp_moments, _phases, from_spectrum, spectrum
 
 L = 30.0
 
@@ -275,6 +275,71 @@ class TestInterpAndResample:
         g = Grid(L, 256)
         u = _band_noise(g, seed=5)
         assert interp(u, -L) == pytest.approx(interp(u, L), abs=1e-10)
+
+
+def _interp_weights(grid):
+    """interp's one-sided weights: interior modes count twice."""
+    weights = np.full(grid.n_points // 2 + 1, 2.0)
+    weights[0] = weights[-1] = 1.0
+    return weights
+
+
+# Float64 bound on the phase error, fixed before measuring: theta*k is at
+# most 2 pi * 8192 ~ 5.1e4 at N = 16384, so each rounded argument is off by
+# up to half an ulp, 3.6e-12. The direct route rounds theta*k once and the
+# two-table route rounds theta*64a (and theta*b, far smaller), so they can
+# differ by about 7.3e-12 plus a few ulp of the exponentials.
+PHASE_TOL = 1e-11
+
+
+class TestInterpSpectrumCache:
+    def test_two_table_phases_match_direct_exponentials(self):
+        g = Grid(L, 16384)
+        count = g.n_points // 2 + 1
+        rng = np.random.default_rng(3)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 40)
+        direct = np.exp(1j * theta[:, None] * np.arange(count))
+        tables = _phases(theta, count)
+        assert tables.shape == direct.shape
+        assert np.max(np.abs(tables - direct)) < PHASE_TOL
+
+    def test_cached_spectrum_is_weighted_rfft_bit_for_bit(self):
+        g = Grid(L, 1024)
+        # white noise, so the Nyquist mode (counted once) is nonzero
+        u = Field(g, np.random.default_rng(4).standard_normal(g.n_points))
+        expect = _interp_weights(g) * np.fft.rfft(u.values)
+        assert np.array_equal(u.weighted_spectrum, expect)
+
+    def test_spectrum_transformed_once_per_field(self, monkeypatch):
+        g = Grid(L, 512)
+        u = _band_noise(g, seed=6)
+        calls = []
+        real_rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft",
+                            lambda *a, **k: calls.append(1) or real_rfft(*a, **k))
+        for q in (0.1, -2.0, np.array([0.3, 4.5])):
+            interp(u, q)
+        assert len(calls) == 1
+
+    def test_matches_direct_exponential_route(self):
+        # the route interp used before the phase tables, kept as reference
+        g = Grid(L, 16384)
+        u = _band_noise(g, seed=9)
+        coeffs = _interp_weights(g) * np.fft.rfft(u.values)
+        pts = np.random.default_rng(5).uniform(-L, L, 25)
+        theta = (pts[:, None] + L) * (np.pi / L)
+        direct = (np.exp(1j * theta * np.arange(coeffs.size)) @ coeffs).real / g.n_points
+        bound = PHASE_TOL * np.sum(np.abs(coeffs)) / g.n_points
+        assert np.max(np.abs(interp(u, pts) - direct)) < bound
+
+    def test_values_are_read_only(self):
+        g = Grid(L, 256)
+        raw = np.exp(-0.5 * g.x ** 2)
+        u = Field(g, raw)
+        with pytest.raises(ValueError):
+            u.values[0] = 1.0
+        assert raw.flags.writeable   # the caller's own array is left alone
+        assert not u.copy().values.flags.writeable
 
 
 class TestSpectralMassAndEdges:

@@ -63,6 +63,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _cfg(breaking_threshold=1.0)
 
+    @pytest.mark.parametrize("margin", [0.2, 0.999, math.nan])
+    def test_collapse_margin_below_one(self, margin):
+        # the switch level would sit above the supercritical threshold
+        with pytest.raises(ValueError, match="collapse_margin"):
+            _cfg(collapse_margin=margin)
+        _cfg(collapse_margin=1.0)
+
+    @pytest.mark.parametrize("dt_min", [0.0, -1e-12, math.nan])
+    def test_dt_min_not_positive(self, dt_min):
+        # step's underflow exit needs a positive floor
+        with pytest.raises(ValueError, match="dt_min"):
+            _cfg(dt_min=dt_min)
+
 
 class TestStep:
     def test_zero_state_stays_zero(self):
