@@ -149,8 +149,16 @@ def _write_plots(plots_dir: str, outcome, est) -> None:
         [Series("measured", ts, es), Series("law", ts, law, dashed=True)])
 
 
+def _solver_config(cfg: RunConfig, path: str):
+    try:   # t_end is checked here, not when the file is read
+        return cfg.to_solver_config()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    solver_cfg = _solver_config(cfg, args.config)
     records_csv = args.records_csv or cfg.records_csv
     summary_json = args.summary_json or cfg.summary_json
     plots_dir = args.plots_dir or cfg.plots_dir
@@ -164,7 +172,7 @@ def _cmd_simulate(args) -> int:
         sink = lambda rec: writer.writerow(_record_row(rec))
     started = time.perf_counter()
     try:
-        outcome = run(cfg.to_solver_config(), sink=sink)
+        outcome = run(solver_cfg, sink=sink)
     finally:
         if csv_fh is not None:
             csv_fh.close()
@@ -288,6 +296,7 @@ def _workers(flag: int | None) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    _solver_config(cfg, args.config)   # the cells vary neither t_end nor the controls
     if cfg.datum.family == "samples":
         raise ConfigError("sweep needs an analytic datum family as the template")
     text = emit_config(cfg)

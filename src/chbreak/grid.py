@@ -7,10 +7,11 @@ Helmholtz solve convolves with) have no periodic analogue, so they are
 integrated by a marching product-integration rule that treats the
 exponential weight exactly on every cell.
 
-All nonlinear products in the evolution are formed on a 3/2 zero-padded grid
-and truncated back to the band |k| <= kc with kc = N//3 (2/3 rule). Fields
-kept inside that band make every pairwise product alias-free, which is what
-gives the discrete energy identity its exactness.
+Every nonlinear product in the evolution is a Galerkin product: factors in
+the band |k| <= kc, kc = N//3 (2/3 rule), multiplied at the N nodes and
+projected back to the band. Their modes reach 2kc, whose aliases k - N have
+|k - N| >= N - 2kc > kc, so the product is exact, and so is the discrete
+energy identity that rests on it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import EdgeDecayError, NumericsError
 
@@ -182,6 +182,14 @@ class Field:
         coeffs[1:-1] *= 2.0
         return coeffs
 
+    @cached_property
+    def smoothed_values(self) -> np.ndarray:
+        """(1 - d_xx)^(-1) of the values, read-only, cached like weighted_spectrum."""
+        s = np.fft.irfft(np.fft.rfft(self.values) * self.grid.helmholtz_multiplier,
+                         self.grid.n_points)
+        s.flags.writeable = False
+        return s
+
 
 def _require_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
@@ -224,15 +232,24 @@ def second_deriv(f: Field) -> Field:
 def helmholtz_inverse(f: Field) -> Field:
     """(1 - d_xx)^(-1) f as a Fourier multiplier."""
     _require_finite(f.values, "helmholtz_inverse input")
-    coeffs = np.fft.rfft(f.values) * f.grid.helmholtz_multiplier
-    return from_spectrum(f.grid, coeffs)
+    return Field(f.grid, f.smoothed_values)
+
+
+def band_spectrum(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """rfft of node values with the modes above kc zeroed."""
+    coeffs = np.fft.rfft(values)
+    coeffs[grid.kc + 1:] = 0.0
+    return coeffs
+
+
+def band_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Node values of the band |k| <= kc of an rfft spectrum."""
+    return np.fft.irfft(coeffs[: grid.kc + 1], grid.n_points)
 
 
 def band_limit(f: Field) -> Field:
     """Project onto the retained band |k| <= kc (2/3 rule)."""
-    coeffs = np.fft.rfft(f.values)
-    coeffs[f.grid.kc + 1:] = 0.0
-    return from_spectrum(f.grid, coeffs)
+    return from_spectrum(f.grid, band_spectrum(f.grid, f.values))
 
 
 def resample(f: Field, n_new: int) -> Field:
@@ -267,33 +284,17 @@ def tail_fraction(f: Field) -> float:
 # Dealiased products
 
 
-def _pad_to_fine(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Zero-extend an rfft spectrum and return values on the 3N/2 grid."""
-    m = grid.padded_points
-    padded = np.zeros(m // 2 + 1, dtype=complex)
-    padded[: grid.n_points // 2 + 1] = coeffs
-    return np.fft.irfft(padded, m) * (m / grid.n_points)
-
-def _truncate_from_fine(grid: Grid, fine_values: np.ndarray) -> np.ndarray:
-    """rfft on the 3N/2 grid, truncated to the retained band of the N grid."""
-    m = grid.padded_points
-    fine = np.fft.rfft(fine_values) * (grid.n_points / m)
-    coeffs = np.zeros(grid.n_points // 2 + 1, dtype=complex)
-    coeffs[: grid.kc + 1] = fine[: grid.kc + 1]
-    return coeffs
-
-
 def dealiased_product(f: Field, g: Field) -> Field:
-    """Pointwise product, formed on the padded grid, projected to the band.
+    """Galerkin product: both factors are projected to the band first, their
+    product is formed at the N nodes and projected back to the band.
 
-    For band-limited factors the padded product is exact, so the only
+    Aliases of a product of band-kc factors fall outside the band (module
+    docstring), so for band-limited factors the result is exact and the only
     approximation is the final Galerkin truncation.
     """
     f._match(g)
-    grid = f.grid
-    a = _pad_to_fine(grid, np.fft.rfft(f.values))
-    b = _pad_to_fine(grid, np.fft.rfft(g.values))
-    return from_spectrum(grid, _truncate_from_fine(grid, a * b))
+    a, b = (band_values(f.grid, np.fft.rfft(h.values)) for h in (f, g))
+    return from_spectrum(f.grid, band_spectrum(f.grid, a * b))
 
 
 def dealiased_square(f: Field) -> Field:
@@ -331,15 +332,16 @@ def smoothed_edge_decay(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> bool:
     magnitude while leaving genuine (low-frequency) mass transported to the
     boundary intact, so this is the right monitor while a front sharpens.
     """
-    s = np.fft.irfft(np.fft.rfft(f.values) * f.grid.helmholtz_multiplier,
-                     f.grid.n_points)
-    return _edges_negligible(s, edge_tol)
+    return _edges_negligible(f.smoothed_values, edge_tol)
 
 
-def _one_sided_cells(f: Field, edge_tol: float, left_weights: bool,
-                     name: str) -> tuple[np.ndarray, float]:
-    """Cell integrals and per-cell decay for a one-sided kernel, after
-    checking the kernel's preconditions (finite input, edge decay)."""
+def _one_sided_march(f: Field, edge_tol: float, left_weights: bool,
+                     name: str) -> np.ndarray:
+    """Running integrals of a one-sided kernel, marched over the cells from
+    its open end, after checking its preconditions (finite input, edge
+    decay)."""
+    from scipy.signal import lfilter   # slow to import; only these kernels use it
+
     _require_finite(f.values, f"{name} input")
     if not smoothed_edge_decay(f, edge_tol):
         raise EdgeDecayError(f"{name}: field does not decay at the domain edges")
@@ -354,7 +356,8 @@ def _one_sided_cells(f: Field, edge_tol: float, left_weights: bool,
         + w[2] * np.roll(v, -1)
         + w[3] * np.roll(v, -2)
     )
-    return cells, decay
+    order = -1 if left_weights else 1
+    return lfilter([1.0], [1.0, -decay], cells[::order])[::order]
 
 
 def conv_P_plus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
@@ -366,19 +369,13 @@ def conv_P_plus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
     low-frequency effect, and band-edge ringing is harmless at this
     tolerance because the kernel weights it by at most one).
     """
-    cells, decay = _one_sided_cells(f, edge_tol, False, "conv_P_plus")
-    running = lfilter([1.0], [1.0, -decay], cells)
-    out = np.empty(f.grid.n_points)
-    out[0] = 0.0
-    out[1:] = running[:-1]
-    return Field(f.grid, 0.5 * out)
+    running = _one_sided_march(f, edge_tol, False, "conv_P_plus")
+    return Field(f.grid, 0.5 * np.concatenate(([0.0], running[:-1])))
 
 
 def conv_P_minus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
     """Right-sided kernel: (1/2) e^x integral_x^inf e^(-y) f(y) dy."""
-    cells, decay = _one_sided_cells(f, edge_tol, True, "conv_P_minus")
-    running = lfilter([1.0], [1.0, -decay], cells[::-1])[::-1]
-    return Field(f.grid, 0.5 * running)
+    return Field(f.grid, 0.5 * _one_sided_march(f, edge_tol, True, "conv_P_minus"))
 
 
 # ---------------------------------------------------------------------------

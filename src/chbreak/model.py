@@ -24,10 +24,10 @@ from .grid import (
     Field,
     Grid,
     band_limit,
+    band_spectrum,
+    band_values,
     check_edge_decay,
     from_spectrum,
-    _pad_to_fine,
-    _truncate_from_fine,
 )
 
 DATUM_FAMILIES = ("gaussian_derivative", "sech_squared", "antisym_peak", "samples")
@@ -280,16 +280,18 @@ class NonlinearSpectra(NamedTuple):
 
 
 def _nonlinear_spectra(grid: Grid, v: np.ndarray) -> NonlinearSpectra:
-    """The one place F and u^2 + h(u) are assembled, for a state vector."""
+    """The one place F and u^2 + h(u) are assembled, for a state vector: exact
+    Galerkin products on the N grid (grid module docstring), the cube as
+    P(P(u^2) u). The u and ux spectra are v's own, not projected."""
     u_hat = np.fft.rfft(v)
     ux_hat = u_hat * (1j * grid.wavenumbers)
     ux_hat[-1] = 0.0
-    u_fine = _pad_to_fine(grid, u_hat)
-    ux_fine = _pad_to_fine(grid, ux_hat)
-    sq = _truncate_from_fine(grid, u_fine * u_fine)
-    slopesq = _truncate_from_fine(grid, ux_fine * ux_fine)
-    advect = _truncate_from_fine(grid, u_fine * ux_fine)
-    cube = _truncate_from_fine(grid, _pad_to_fine(grid, sq) * u_fine)
+    u_band = band_values(grid, u_hat)
+    ux_band = band_values(grid, ux_hat)
+    sq = band_spectrum(grid, u_band * u_band)
+    slopesq = band_spectrum(grid, ux_band * ux_band)
+    advect = band_spectrum(grid, u_band * ux_band)
+    cube = band_spectrum(grid, band_values(grid, sq) * u_band)
     local = cube - 0.5 * sq
     return NonlinearSpectra(u_hat, ux_hat, advect, sq, slopesq, local, local + 0.5 * slopesq)
 
@@ -328,8 +330,8 @@ def bounded_forcing(u: Field) -> Field:
 def _slope_rhs_from(grid: Grid, s: NonlinearSpectra, lam: float) -> Field:
     """slope_rhs from the kernel spectra s of u, at damping rate lam."""
     k = grid.wavenumbers
-    bend_hat = _truncate_from_fine(
-        grid, _pad_to_fine(grid, s.u) * _pad_to_fine(grid, -s.u * (k * k)))
+    bend_hat = band_spectrum(
+        grid, band_values(grid, s.u) * band_values(grid, -s.u * (k * k)))
     forcing_hat = s.local - s.flux * grid.helmholtz_multiplier
     out_hat = -0.5 * s.slopesq - bend_hat + forcing_hat - lam * s.ux
     return from_spectrum(grid, out_hat)

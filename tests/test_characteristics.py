@@ -107,6 +107,15 @@ class TestBasicTransport:
                             (aux.slope_field, slope_rhs(u, t, SMOOTH_PROFILE))):
             assert np.array_equal(got.values, expect.values)
 
+    def test_aux_checks_the_flux_edges_once(self, fft_lengths):
+        # kernel 8, flux 1, one shared edge smoothing 2, ux 1, uxx 1, rhs 1,
+        # slope_rhs 4
+        grid = Grid(30.0, 1024)
+        u = make_datum(SMOOTH_DATUM, grid)
+        fft_lengths.clear()
+        build_aux(u, 0.4, SMOOTH_PROFILE)
+        assert len(fft_lengths) == 18
+
 
 class TestConvergence:
     def test_flow_map_order(self, smooth_runs):

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -10,6 +13,8 @@ import pytest
 import chbreak
 from chbreak.cli import CSV_COLUMNS, SWEEP_COLUMNS, _workers, main
 from chbreak.riccati import two_sided_bound
+
+SRC = os.path.dirname(os.path.dirname(chbreak.__file__))
 
 SMOOTH = """\
 [grid]
@@ -333,9 +338,31 @@ class TestBadInputExitsTwo:
         err = _one_error_line(capsys)
         assert f"error: {path}: " in err and entry.split()[0] in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("t_end", ["-2.0", "inf"])
+    def test_horizon_out_of_range(self, tmp_path, capsys, command, t_end):
+        path = tmp_path / "bad.ini"
+        path.write_text(SMOOTH.replace("t_end = 0.3", f"t_end = {t_end}"))
+        out = tmp_path / "out.csv"
+        argv = {"simulate": ["simulate", str(path), "--records-csv", str(out)],
+                "sweep": ["sweep", str(path), "--amplitudes", "0.3", "--widths", "1.0",
+                          "--workers", "1", "--csv", str(out)]}[command]
+        assert main(argv) == 2
+        err = _one_error_line(capsys)
+        assert f"error: {path}: " in err and "t_end" in err
+        assert not out.exists()
+
     def test_riccati_forcing_below_threshold_range(self, capsys):
         assert main(["riccati", "--forcing", "-5", "--omega0", "-3"]) == 2
         assert "--forcing" in _one_error_line(capsys)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is slow to import and only the track kernels need it
+    code = "import sys, chbreak.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.strip() == "False"
 
 
 def test_version(capsys):

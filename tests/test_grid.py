@@ -191,6 +191,17 @@ class TestOneSidedKernels:
         with pytest.raises(EdgeDecayError):
             conv_P_plus(Field(g, np.cos(np.pi * g.x / L)), 1e-8)
 
+    @pytest.mark.parametrize("first,second", [(conv_P_plus, conv_P_minus),
+                                              (conv_P_minus, conv_P_plus)])
+    def test_each_kernel_rejects_non_decaying_input(self, first, second):
+        # the smoothed edge values are cached per field; each kernel must
+        # still check them, alone or after the other kernel
+        g = Grid(L, 256)
+        f = Field(g, np.cos(np.pi * g.x / L))
+        for conv in (first, second):
+            with pytest.raises(EdgeDecayError):
+                conv(f, 1e-8)
+
     def test_exp_moments_match_quadrature(self):
         for z in (0.6, -0.6, 0.0586, -0.0586, 1e-3):
             mom = _exp_moments(z)
@@ -377,6 +388,17 @@ class TestSpectralMassAndEdges:
         g = Grid(L, 1024)
         u = Field(g, np.exp(-0.5 * (g.x + L - 3.0) ** 2))
         assert not smoothed_edge_decay(u, 1e-8)
+
+    def test_smoothed_values_are_cached_helmholtz_inverse(self, fft_lengths):
+        g = Grid(L, 512)
+        u = _band_noise(g, seed=8)
+        expect = np.fft.irfft(np.fft.rfft(u.values) * g.helmholtz_multiplier, g.n_points)
+        fft_lengths.clear()
+        smoothed_edge_decay(u, 1e-8)
+        smoothed_edge_decay(u, 1e-3)
+        assert np.array_equal(helmholtz_inverse(u).values, expect)
+        assert len(fft_lengths) == 2
+        assert not u.smoothed_values.flags.writeable
 
 
 class TestFieldAlgebra:
