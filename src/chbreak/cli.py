@@ -149,16 +149,8 @@ def _write_plots(plots_dir: str, outcome, est) -> None:
         [Series("measured", ts, es), Series("law", ts, law, dashed=True)])
 
 
-def _solver_config(cfg: RunConfig, path: str):
-    try:   # t_end is checked here, not when the file is read
-        return cfg.to_solver_config()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    solver_cfg = _solver_config(cfg, args.config)
     records_csv = args.records_csv or cfg.records_csv
     summary_json = args.summary_json or cfg.summary_json
     plots_dir = args.plots_dir or cfg.plots_dir
@@ -172,7 +164,7 @@ def _cmd_simulate(args) -> int:
         sink = lambda rec: writer.writerow(_record_row(rec))
     started = time.perf_counter()
     try:
-        outcome = run(solver_cfg, sink=sink)
+        outcome = run(cfg, sink=sink)
     finally:
         if csv_fh is not None:
             csv_fh.close()
@@ -222,6 +214,8 @@ def _cmd_riccati(args) -> int:
     if args.delta * args.delta + 2.0 * args.forcing < 0.0:
         raise ConfigError("--forcing must be at least -delta^2/2: below that the "
                           "comparison problem has no threshold")
+    if not (args.t_max > 0.0 and math.isfinite(args.t_max)):
+        raise ConfigError("--t-max must be finite and > 0")
     rows = []
     if args.coupled:
         traj = solve_coupled(args.delta, args.forcing, args.rising0, args.falling0,
@@ -262,7 +256,7 @@ def _sweep_cell(packed):
             profile = DissipationProfile.constant(delta)
         cfg = dataclasses.replace(cfg, datum=datum, profile=profile)
         rep = _criteria_reports(cfg)[0]
-        outcome = run(cfg.to_solver_config())
+        outcome = run(cfg)
         est = estimate_blowup(outcome.records)
         return {
             "index": index, "family": datum.family, "amplitude": amplitude,
@@ -296,7 +290,6 @@ def _workers(flag: int | None) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    _solver_config(cfg, args.config)   # the cells vary neither t_end nor the controls
     if cfg.datum.family == "samples":
         raise ConfigError("sweep needs an analytic datum family as the template")
     text = emit_config(cfg)
@@ -310,9 +303,10 @@ def _cmd_sweep(args) -> int:
             for width in args.widths:
                 cells.append((index, text, amplitude, width, delta))
                 index += 1
-    workers = _workers(args.workers)
+    # a fork pool starts all its workers at the first submit
+    workers = max(1, min(_workers(args.workers), len(cells)))
     started = time.perf_counter()
-    if len(cells) == 1 or workers == 1:
+    if workers == 1:
         rows = [_sweep_cell(c) for c in cells]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

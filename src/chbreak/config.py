@@ -5,26 +5,35 @@ flat section/key scan that remembers where every entry came from. Unknown
 sections or keys are rejected with path:line messages instead of being
 ignored, and emit() writes a canonical form whose parse is identical to the
 original (round-trip stability is part of the contract and is tested).
+
+A file becomes one RunConfig: the SolverConfig that run() takes, plus the
+[outputs] paths. Every [solver] value is range-checked by SolverConfig when
+the file is read, and a bad one is reported as a ConfigError naming the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .grid import Grid
 from .model import DATUM_FAMILIES, DissipationProfile, InitialDatum, PROFILE_KINDS
-from .solver import SolverConfig, check_controls
+from .solver import SolverConfig
 
 _FLOAT_LIST = "float_list"
 
+# [dissipation] parameter keys of each kind, in constructor order. delta_sup
+# follows them; only linear_ramp must give it, the others imply a ceiling.
+_PROFILE_KEYS = {"constant": ("value",), "linear_ramp": ("start", "ramp_rate"),
+                 "sinusoidal": ("offset", "amplitude", "omega"),
+                 "piecewise": ("times", "values")}
 _SCHEMA: dict[str, dict[str, object]] = {
     "grid": {"half_length": float, "n_points": int},
     "datum": {"family": str, "amplitude": float, "width": float,
               "center": float, "values": _FLOAT_LIST},
-    "dissipation": {"kind": str, "value": float, "start": float, "ramp_rate": float,
-                    "offset": float, "amplitude": float, "omega": float,
-                    "times": _FLOAT_LIST, "values": _FLOAT_LIST, "delta_sup": float},
+    "dissipation": {"kind": str, "delta_sup": float,
+                    **{key: _FLOAT_LIST if kind == "piecewise" else float
+                       for kind, keys in _PROFILE_KEYS.items() for key in keys}},
     # c_m caps dt at c_m/|min slope|; m_stop is the slope level that ends a run
     "solver": {"t_end": float, "cfl_factor": float, "c_m": float,
                "dt_min": float, "m_stop": float, "record_stride": int,
@@ -32,43 +41,18 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "outputs": {"records_csv": str, "summary_json": str, "plots_dir": str},
     "characteristics": {"seeds": _FLOAT_LIST},
 }
-# [solver] keys named differently from their RunConfig field
+# [solver] keys named differently from their SolverConfig field
 _FIELD_OF_KEY = {"c_m": "slope_dt_factor", "m_stop": "breaking_threshold"}
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything a simulate run needs, decoupled from where it came from."""
+class RunConfig(SolverConfig):
+    """A SolverConfig plus where simulate writes its outputs; run() takes it
+    as it is."""
 
-    grid: Grid
-    datum: InitialDatum
-    profile: DissipationProfile
-    t_end: float
-    cfl_factor: float = 0.3
-    slope_dt_factor: float = 0.2
-    dt_min: float = 1.0e-12
-    breaking_threshold: float = -1.0e6
-    record_stride: int = 1
-    tail_tol: float = 1.0e-6
-    collapse_margin: float = 1.05
-    edge_tol: float = 1.0e-8
-    seeds: tuple[float, ...] = ()
     records_csv: str | None = None
     summary_json: str | None = None
     plots_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        check_controls(self)
-
-    def to_solver_config(self) -> SolverConfig:
-        return SolverConfig(**{f.name: getattr(self, f.name) for f in fields(SolverConfig)})
-
-    def with_refinement(self, factor: int = 2) -> "RunConfig":
-        """Same run on a grid refined by factor with the CFL tightened to match."""
-        return replace(
-            self,
-            grid=Grid(self.grid.half_length, self.grid.n_points * factor),
-            cfl_factor=self.cfl_factor / factor)
 
 
 def _read_sections(text: str, path: str):
@@ -145,25 +129,13 @@ def _build_profile(path: str, sec: dict) -> DissipationProfile:
     if kind not in PROFILE_KINDS:
         raise ConfigError(
             f"{path}: [dissipation] kind must be one of {PROFILE_KINDS}, got {kind!r}")
-    delta = sec.get("delta_sup")
-
-    def need(*keys):
-        missing = [k for k in keys if k not in sec]
-        if missing:
-            raise ConfigError(
-                f"{path}: [dissipation] kind {kind!r} needs {', '.join(missing)}")
-
-    if kind == "constant":
-        need("value")
-        return DissipationProfile.constant(sec["value"], delta)
-    if kind == "linear_ramp":
-        need("start", "ramp_rate", "delta_sup")
-        return DissipationProfile.linear_ramp(sec["start"], sec["ramp_rate"], delta)
-    if kind == "sinusoidal":
-        need("offset", "amplitude", "omega")
-        return DissipationProfile.sinusoidal(sec["offset"], sec["amplitude"], sec["omega"], delta)
-    need("times", "values")
-    return DissipationProfile.piecewise(sec["times"], sec["values"], delta)
+    keys = _PROFILE_KEYS[kind]
+    required = keys + (("delta_sup",) if kind == "linear_ramp" else ())
+    missing = [k for k in required if k not in sec]
+    if missing:
+        raise ConfigError(f"{path}: [dissipation] kind {kind!r} needs {', '.join(missing)}")
+    make = getattr(DissipationProfile, kind)
+    return make(*(sec[k] for k in keys), sec.get("delta_sup"))
 
 
 def _build_datum(path: str, sec: dict) -> InitialDatum:
@@ -250,17 +222,9 @@ def emit_config(cfg: RunConfig) -> str:
                        ("width", d.width), ("center", d.center)]
     section("datum", datum_pairs)
     p = cfg.profile
-    diss_pairs: list[tuple[str, object]] = [("kind", p.kind)]
-    if p.kind == "constant":
-        diss_pairs.append(("value", p.params[0]))
-    elif p.kind == "linear_ramp":
-        diss_pairs += [("start", p.params[0]), ("ramp_rate", p.params[1])]
-    elif p.kind == "sinusoidal":
-        diss_pairs += [("offset", p.params[0]), ("amplitude", p.params[1]),
-                       ("omega", p.params[2])]
-    else:
-        diss_pairs += [("times", p.knot_times), ("values", p.knot_values)]
-    diss_pairs.append(("delta_sup", p.delta_sup))
+    values = (p.knot_times, p.knot_values) if p.kind == "piecewise" else p.params
+    diss_pairs = [("kind", p.kind), *zip(_PROFILE_KEYS[p.kind], values),
+                  ("delta_sup", p.delta_sup)]
     section("dissipation", diss_pairs)
     for name in ("solver", "outputs"):
         section(name, [(k, getattr(cfg, _FIELD_OF_KEY.get(k, k))) for k in _SCHEMA[name]])

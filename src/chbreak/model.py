@@ -317,14 +317,19 @@ def rhs(u: Field, t: float, profile: DissipationProfile) -> Field:
     return _rhs_from(u, _nonlinear_spectra(u.grid, u.values), profile.rate(t))
 
 
+def _bounded_forcing_hat(grid: Grid, s: NonlinearSpectra) -> np.ndarray:
+    """Spectrum of bounded_forcing from the kernel spectra s of u."""
+    return s.local - s.flux * grid.helmholtz_multiplier
+
+
 def bounded_forcing(u: Field) -> Field:
     """B = u^2 + h(u) - P * (u^2 + u_x^2/2 + h(u)).
 
     This is the portion of the slope dynamics that stays bounded by the
     initial energy (|B| <= K) while the slope itself diverges.
     """
-    s = _nonlinear_spectra(u.grid, u.values)
-    return from_spectrum(u.grid, s.local - s.flux * u.grid.helmholtz_multiplier)
+    grid = u.grid
+    return from_spectrum(grid, _bounded_forcing_hat(grid, _nonlinear_spectra(grid, u.values)))
 
 
 def _slope_rhs_from(grid: Grid, s: NonlinearSpectra, lam: float) -> Field:
@@ -332,8 +337,7 @@ def _slope_rhs_from(grid: Grid, s: NonlinearSpectra, lam: float) -> Field:
     k = grid.wavenumbers
     bend_hat = band_spectrum(
         grid, band_values(grid, s.u) * band_values(grid, -s.u * (k * k)))
-    forcing_hat = s.local - s.flux * grid.helmholtz_multiplier
-    out_hat = -0.5 * s.slopesq - bend_hat + forcing_hat - lam * s.ux
+    out_hat = -0.5 * s.slopesq - bend_hat + _bounded_forcing_hat(grid, s) - lam * s.ux
     return from_spectrum(grid, out_hat)
 
 

@@ -17,7 +17,7 @@ is flagged, never silently continued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .grid import (
 from .model import (
     DissipationProfile,
     InitialDatum,
+    _bounded_forcing_hat,
     _nonlinear_spectra,
-    bounded_forcing,
     make_datum,
     rhs,
 )
@@ -50,6 +50,14 @@ OUTCOME_KINDS = ("reached_horizon", "breaking_detected", "dt_underflow", "edge_d
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """One run: grid, datum, damping, horizon and the step, record and
+    certificate controls.
+
+    Every value is checked here, on construction, so a config file with a
+    bad value is rejected when it is read. The checks are written so that
+    NaN fails them.
+    """
+
     grid: Grid
     datum: InitialDatum
     profile: DissipationProfile
@@ -67,27 +75,31 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise ValueError("t_end must be finite and >= 0")
-        check_controls(self)
+        if not (0.0 < self.cfl_factor <= 1.0):
+            raise ValueError("cfl_factor must lie in (0, 1]")
+        if not (self.slope_dt_factor > 0.0 and math.isfinite(self.slope_dt_factor)):
+            raise ValueError("c_m (slope_dt_factor) must be finite and > 0")
+        if self.record_stride < 1:
+            raise ValueError("record_stride must be >= 1")
+        if not self.dt_min > 0.0:
+            raise ValueError("dt_min must be > 0")
+        if not self.collapse_margin >= 1.0:
+            # below 1 the switch level lies above the supercritical threshold,
+            # so the frozen law would be continued without a certificate
+            raise ValueError("collapse_margin must be >= 1")
+        if not self.breaking_threshold < 0.0:
+            raise ValueError("m_stop (breaking_threshold) must be negative")
+        if not self.tail_tol > 0.0:
+            raise ValueError("tail_tol must be > 0")
+        if not self.edge_tol > 0.0:
+            raise ValueError("edge_tol must be > 0")
 
-
-def check_controls(cfg) -> None:
-    """Range checks on the step, record and certificate controls.
-
-    Shared by SolverConfig and RunConfig, so a config file with a bad value
-    is rejected when it is read.
-    """
-    if not (0.0 < cfg.cfl_factor <= 1.0):
-        raise ValueError("cfl_factor must lie in (0, 1]")
-    if cfg.record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
-    if not cfg.dt_min > 0.0:
-        raise ValueError("dt_min must be > 0")
-    if not cfg.collapse_margin >= 1.0:
-        # below 1 the switch level lies above the supercritical threshold,
-        # so the frozen law would be continued without a certificate
-        raise ValueError("collapse_margin must be >= 1")
-    if cfg.breaking_threshold >= 0.0:
-        raise ValueError("breaking_threshold must be negative")
+    def with_refinement(self, factor: int = 2) -> SolverConfig:
+        """Same run on a grid refined by factor with the CFL tightened to match."""
+        return replace(
+            self,
+            grid=Grid(self.grid.half_length, self.grid.n_points * factor),
+            cfl_factor=self.cfl_factor / factor)
 
 
 @dataclass
@@ -251,9 +263,9 @@ def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, emit, state: Solv
     outcome.m_switch = m
     u_frozen = state.u
     grid = cfg.grid
-    b_field = bounded_forcing(u_frozen)
-    flux_hat = _nonlinear_spectra(grid, u_frozen.values).flux
-    drift_hat = -flux_hat * grid.helmholtz_multiplier * (1j * grid.wavenumbers)
+    s = _nonlinear_spectra(grid, u_frozen.values)
+    b_field = from_spectrum(grid, _bounded_forcing_hat(grid, s))
+    drift_hat = -s.flux * grid.helmholtz_multiplier * (1j * grid.wavenumbers)
     drift_hat[-1] = 0.0
     drift = from_spectrum(grid, drift_hat)   # (P+ - P-) * F, spectral route
     b_at_front = float(b_field.values[j])

@@ -110,7 +110,7 @@ def _audited_run(cfg: RunConfig):
     # the frozen slope ODE runs past the stop threshold by design; its
     # overflow to -inf on the last track samples is expected
     with np.errstate(over="ignore", invalid="ignore"):
-        outcome = run(cfg.to_solver_config(), state_sink=state_sink)
+        outcome = run(cfg, state_sink=state_sink)
     return outcome, audit
 
 

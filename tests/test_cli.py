@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import chbreak
+import chbreak.cli
 from chbreak.cli import CSV_COLUMNS, SWEEP_COLUMNS, _workers, main
 from chbreak.riccati import two_sided_bound
 
@@ -278,6 +279,31 @@ class TestSweep:
         assert _workers(None) >= 1
 
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_pool_capped_at_cell_count(self, smooth_cfg, monkeypatch, source):
+        # a fork pool starts all max_workers processes at the first submit
+        sizes = []
+
+        class NoProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(chbreak.cli, "ProcessPoolExecutor", NoProcessPool)
+        monkeypatch.setenv("CHBREAK_WORKERS", "5000")
+        argv = ["sweep", smooth_cfg, "--amplitudes", "0.3 0.35", "--widths", "1.0"]
+        assert main(argv + (["--workers", "5000"] if source == "flag" else [])) == 0
+        assert sizes == [2]
+
+
 class TestSweepFailures:
     def test_cells_that_lose_edge_decay_fail(self, tmp_path, capsys):
         p = tmp_path / "edge.ini"
@@ -327,6 +353,8 @@ class TestBadInputExitsTwo:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("entry", [
         "cfl_factor = 2.0", "record_stride = 0", "collapse_margin = 0.2", "dt_min = 0.0",
+        "c_m = 0.0", "c_m = -0.2", "m_stop = nan", "edge_tol = nan", "edge_tol = -1.0",
+        "tail_tol = nan",
     ])
     def test_out_of_range_solver_value(self, tmp_path, capsys, command, entry):
         path = tmp_path / "bad.ini"
@@ -355,6 +383,11 @@ class TestBadInputExitsTwo:
     def test_riccati_forcing_below_threshold_range(self, capsys):
         assert main(["riccati", "--forcing", "-5", "--omega0", "-3"]) == 2
         assert "--forcing" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("t_max", ["inf", "nan", "0", "-1"])
+    def test_riccati_horizon_out_of_range(self, capsys, t_max):
+        assert main(["riccati", "--forcing", "2", "--omega0", "0", f"--t-max={t_max}"]) == 2
+        assert "--t-max" in _one_error_line(capsys)
 
 
 def test_import_leaves_scipy_signal_unloaded():

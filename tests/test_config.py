@@ -193,11 +193,10 @@ class TestErrors:
         self._raises(MINIMAL.replace("n_points = 256", "n_points = 100"),
                      "[grid]")
 
-    def test_solver_constraint_deferred(self):
-        # negative horizon parses; the solver config rejects it on conversion
-        cfg = parse_config(MINIMAL.replace("t_end = 0.5", "t_end = -2.0"))
-        with pytest.raises(ValueError, match="t_end"):
-            cfg.to_solver_config()
+    @pytest.mark.parametrize("t_end", ["-2.0", "inf"])
+    def test_solver_constraint_checked_when_read(self, t_end):
+        msg = self._raises(MINIMAL.replace("t_end = 0.5", f"t_end = {t_end}"), "t_end")
+        assert msg.startswith("test.ini: ")
 
 
 class TestEmit:

@@ -10,8 +10,10 @@ from chbreak import (
     Grid,
     InitialDatum,
     NumericsError,
+    RunOutcome,
     SolverConfig,
     SolverState,
+    bounded_forcing,
     deriv,
     forcing_constant,
     h1_norm_sq,
@@ -19,6 +21,7 @@ from chbreak import (
     run,
     step,
 )
+from chbreak import model, solver
 
 GRID = Grid(30.0, 1024)
 SMOOTH = InitialDatum("gaussian_derivative", amplitude=0.3, width=1.3)
@@ -75,6 +78,17 @@ class TestConfigValidation:
         # step's underflow exit needs a positive floor
         with pytest.raises(ValueError, match="dt_min"):
             _cfg(dt_min=dt_min)
+
+    @pytest.mark.parametrize("field,value", [
+        ("slope_dt_factor", 0.0), ("slope_dt_factor", -0.2),
+        ("slope_dt_factor", math.nan), ("slope_dt_factor", math.inf),
+        ("breaking_threshold", math.nan), ("tail_tol", 0.0), ("tail_tol", math.nan),
+        ("edge_tol", -1.0), ("edge_tol", math.nan),
+    ])
+    def test_controls_that_would_change_the_report(self, field, value):
+        # each of these let a run end with a wrong outcome or no monitor
+        with pytest.raises(ValueError, match=field):
+            _cfg(**{field: value})
 
 
 class TestStep:
@@ -228,3 +242,28 @@ class TestBreakingRun:
         assert out.m_switch is None
         assert out.frozen_forcing is None
         assert not out.resolution_degraded
+
+
+class TestCollapseSwitch:
+    def test_one_kernel_pass_for_the_frozen_fields(self, monkeypatch):
+        # B and the drift of the frozen fields come from the same spectra
+        cfg = _cfg(datum=InitialDatum("gaussian_derivative", amplitude=2.0, width=1.3),
+                   t_end=4.0)
+        u = make_datum(cfg.datum, GRID)
+        m, j, energy = solver._measure(u)
+        b_front = float(bounded_forcing(u).values[j])
+        outcome = RunOutcome(kind="reached_horizon", t_final=0.0, records=[], tracks=[],
+                             energy0=energy, dissipative=True)
+        passes = []
+
+        def counted(grid, v):
+            passes.append(grid.n_points)
+            return real(grid, v)
+
+        real = model._nonlinear_spectra
+        monkeypatch.setattr(model, "_nonlinear_spectra", counted)
+        monkeypatch.setattr(solver, "_nonlinear_spectra", counted)
+        solver._continue_collapse(cfg, outcome, lambda *rec: None, SolverState(0.0, u),
+                                  m, j, energy)
+        assert passes == [GRID.n_points]
+        assert outcome.frozen_forcing == b_front
