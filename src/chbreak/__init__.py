@@ -21,7 +21,6 @@ from .criteria import (
 from .diagnostics import (
     DiagnosticsRecord,
     RateEstimate,
-    energy_law_residual,
     estimate_blowup,
     track_rate,
 )
@@ -45,7 +44,6 @@ from .grid import (
     h1_norm_sq,
     helmholtz_inverse,
     interp,
-    resample,
     second_deriv,
     smoothed_edge_decay,
     tail_fraction,
@@ -124,7 +122,6 @@ __all__ = [
     "deriv",
     "diffeo_factor",
     "emit_config",
-    "energy_law_residual",
     "estimate_blowup",
     "find_breaking_datum",
     "forcing_constant",
@@ -139,7 +136,6 @@ __all__ = [
     "mixed_monitor",
     "omega_bound",
     "parse_config",
-    "resample",
     "rhs",
     "riccati_forcing",
     "run",

@@ -5,10 +5,11 @@ breaking criteria for a config's datum), riccati (the comparison problems
 standalone), sweep (a batch of runs over datum cells), version.
 
 Exit codes: 0 success, 2 configuration error or unwritable output, 3 run
-failure (step underflow, loss of edge decay, failed search, or any failed
-sweep cell). Machine outputs are deterministic: CSV floats use repr
-(shortest round-trip form), JSON is sorted and newline-terminated, and
-wall-clock time goes to the console only, never into files.
+failure (step underflow, loss of edge decay, failed search, a riccati march
+past its step cap, or any failed sweep cell). Machine outputs are
+deterministic: CSV floats use repr (shortest round-trip form), JSON is
+sorted and newline-terminated, and wall-clock time goes to the console
+only, never into files.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ def _run_summary(cfg: RunConfig, outcome, est) -> dict:
         "dissipative": outcome.dissipative,
         "energy0": outcome.energy0,
         "n_records": len(outcome.records),
+        "steps": {"live": outcome.live_steps, "dt_halvings": outcome.dt_halvings,
+                  "continued": outcome.continued_steps, "records": len(outcome.records)},
         "grid": {"half_length": cfg.grid.half_length, "n_points": cfg.grid.n_points},
         "t_end": cfg.t_end,
         "criterion1": report1,

@@ -9,7 +9,6 @@ really was.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,27 +94,6 @@ def estimate_blowup(records, entry: float = DEFAULT_FIT_ENTRY) -> RateEstimate |
     ts = np.array([r.t for r in records])
     ms = np.array([r.min_slope for r in records])
     return reciprocal_blowup_fit(ts, ms, entry)
-
-
-def energy_law_residual(records, profile, energy0: float | None = None,
-                        slope_floor: float = -1.0e3) -> float:
-    """Worst relative deviation from E(t) = exp(-2 int lambda) E(0).
-
-    Records past slope_floor are excluded: once the front collapses below
-    the grid scale the recorded energy is the law's own value, so including
-    those rows would test nothing.
-    """
-    rows = [r for r in records if r.min_slope > slope_floor]
-    if not rows:
-        return math.nan
-    e0 = rows[0].energy if energy0 is None else energy0
-    if e0 <= 0.0:
-        return math.nan
-    worst = 0.0
-    for r in rows:
-        expected = math.exp(-2.0 * profile.integral(r.t)) * e0
-        worst = max(worst, abs(r.energy - expected) / e0)
-    return worst
 
 
 def track_rate(times, slopes, entry: float = DEFAULT_FIT_ENTRY) -> RateEstimate | None:

@@ -252,18 +252,6 @@ def band_limit(f: Field) -> Field:
     return from_spectrum(f.grid, band_spectrum(f.grid, f.values))
 
 
-def resample(f: Field, n_new: int) -> Field:
-    """Exact trigonometric resampling onto a finer grid (tests, plots)."""
-    grid_new = Grid(f.grid.half_length, n_new)
-    n_old = f.grid.n_points
-    if n_new < n_old:
-        raise ValueError("resample only refines")
-    coeffs = np.fft.rfft(f.values)
-    out = np.zeros(n_new // 2 + 1, dtype=complex)
-    out[: coeffs.size] = coeffs
-    return Field(grid_new, np.fft.irfft(out, n_new) * (n_new / n_old))
-
-
 def tail_fraction(f: Field) -> float:
     """Energy share of the top octave of the retained band.
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import RateEstimate, geometric_mean, reciprocal_blowup_fit
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 
 DEFAULT_DIVERGENCE = 1.0e8
 DEFAULT_STEP_SCALE = 0.02
+MAX_STEPS = 250_000
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,30 @@ def _march(fun, y0, t_max, step_scale, divergence):
     """RK4 from t = 0 with steps step_scale / max(1, |y|), |y| the largest
     component, until t_max, |y| >= divergence or a non-finite step.
 
+    Both comparison problems are autonomous, so once a step returns its
+    input exactly every later step of that size would too: the march stops
+    there and extends the last value to t_max. A march that would take more
+    than MAX_STEPS steps raises NumericsError.
+
     Returns the sample times, the samples and whether |y| diverged.
     """
     ts, ys = [0.0], [y0]
     t, y = 0.0, y0
-    while t < t_max and np.max(np.abs(y)) < divergence:
-        dt = min(step_scale / max(1.0, float(np.max(np.abs(y)))), t_max - t)
-        y = rk4(fun, t, y, dt)
-        t += dt
-        if not np.all(np.isfinite(y)):
+    size = float(np.abs(y0).max())
+    while t < t_max and size < divergence:
+        if len(ts) > MAX_STEPS:
+            raise NumericsError(f"comparison march passed {MAX_STEPS} steps at "
+                                f"t={t:.6g} of t_max={t_max:.6g}")
+        dt = min(step_scale / max(1.0, size), t_max - t)
+        y_next = rk4(fun, t, y, dt)
+        size_next = float(np.abs(y_next).max())
+        if size_next == size and np.array_equal(y_next, y):
+            ts.append(t_max)
+            ys.append(y)
             break
+        if not math.isfinite(size_next):
+            break
+        t, y, size = t + dt, y_next, size_next
         ts.append(t)
         ys.append(y)
     ys_arr = np.array(ys)

@@ -95,11 +95,9 @@ class SolverConfig:
             raise ValueError("edge_tol must be > 0")
 
     def with_refinement(self, factor: int = 2) -> SolverConfig:
-        """Same run on a grid refined by factor with the CFL tightened to match."""
-        return replace(
-            self,
-            grid=Grid(self.grid.half_length, self.grid.n_points * factor),
-            cfl_factor=self.cfl_factor / factor)
+        """Same run with factor times the grid points. Every other value, the
+        CFL number included, is kept, so dt scales with dx."""
+        return replace(self, grid=Grid(self.grid.half_length, self.grid.n_points * factor))
 
 
 @dataclass
@@ -108,6 +106,7 @@ class SolverState:
     u: Field
     step_index: int = 0
     last_dt: float = 0.0
+    halvings: int = 0    # dt halvings over all accepted steps
 
 
 @dataclass
@@ -122,6 +121,9 @@ class RunOutcome:
     m_switch: float | None = None
     frozen_forcing: float | None = None   # scalar forcing of the continued slope law
     resolution_degraded: bool = False
+    live_steps: int = 0         # accepted RK4 steps of the band-limited system
+    dt_halvings: int = 0        # halvings inside those accepted steps
+    continued_steps: int = 0    # steps of the frozen-field continuation
     config: SolverConfig | None = None
 
 
@@ -137,6 +139,7 @@ def step(state: SolverState, cfg: SolverConfig) -> SolverState:
     underflow past dt_min raises NumericsError.
     """
     u = state.u
+    halvings = state.halvings
     grid = u.grid
     sup = u.max_abs
     m = float(np.min(deriv(u).values))
@@ -150,8 +153,9 @@ def step(state: SolverState, cfg: SolverConfig) -> SolverState:
             raise NumericsError(f"time step underflow at t={state.t:.6g}")
         candidate = _rk4(u, state.t, dt, cfg.profile)
         if np.all(np.isfinite(candidate.values)):
-            return SolverState(state.t + dt, candidate, state.step_index + 1, dt)
+            return SolverState(state.t + dt, candidate, state.step_index + 1, dt, halvings)
         dt *= 0.5
+        halvings += 1
 
 
 def _record(state_t, energy, m, x_at, sup, dt, profile) -> DiagnosticsRecord:
@@ -238,6 +242,7 @@ def run(cfg: SolverConfig, sink=None, state_sink=None) -> RunOutcome:
             emit_live(state, m, j, energy)
 
     t_final = state.t
+    outcome.live_steps, outcome.dt_halvings = state.step_index, state.halvings
     if stop == "collapse":
         stop, t_final = _continue_collapse(cfg, outcome, emit, state, m, j, energy)
     elif stop is None:
@@ -292,4 +297,5 @@ def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, emit, state: Solv
         law_energy = math.exp(-2.0 * (profile.integral(t) - lam_int_sw)) * energy_sw
         if step_index % cfg.record_stride == 0 or m <= cfg.breaking_threshold:
             emit(t, law_energy, m, xi, sup_frozen, dt, None)
+    outcome.continued_steps = step_index - state.step_index
     return ("breaking_detected" if m <= cfg.breaking_threshold else "reached_horizon"), t

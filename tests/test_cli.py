@@ -35,6 +35,25 @@ value = 0.2
 t_end = 0.3
 """
 
+# breaks: the live phase hands over to the certified continuation
+BREAKING = """\
+[grid]
+half_length = 30.0
+n_points = 4096
+
+[datum]
+family = gaussian_derivative
+amplitude = 2.0
+width = 0.1
+
+[dissipation]
+kind = constant
+value = 0.2
+
+[solver]
+t_end = 4.0
+"""
+
 # decays like e^-8 at the near edge: datum passes admission, the first
 # step's nonlocal term does not
 EDGE_LOSS = """\
@@ -98,6 +117,24 @@ class TestSimulate:
         assert payload["tracks"] == []
         # wall time never lands in machine output
         assert "elapsed" not in summary.read_text()
+
+    def test_step_counts_in_summary(self, tmp_path):
+        p = tmp_path / "breaking.ini"
+        p.write_text(BREAKING)
+        records = tmp_path / "records.csv"
+        summary = tmp_path / "summary.json"
+        assert main(["simulate", str(p), "--records-csv", str(records),
+                     "--summary-json", str(summary)]) == 0
+        with open(summary) as fh:
+            payload = json.load(fh)
+        assert payload["outcome"] == "breaking_detected"
+        steps = payload["steps"]
+        assert sorted(steps) == ["continued", "dt_halvings", "live", "records"]
+        assert steps["live"] > 0 and steps["continued"] > 0
+        assert steps["dt_halvings"] == 0
+        assert steps["records"] == payload["n_records"] == len(_read_csv(records)) - 1
+        # record_stride 1: the datum plus one record per step of either phase
+        assert steps["records"] == 1 + steps["live"] + steps["continued"]
 
     def test_config_echo_roundtrip(self, smooth_cfg, tmp_path):
         summary = tmp_path / "summary.json"
@@ -209,6 +246,19 @@ class TestRiccati:
         expected = two_sided_bound(0.1, 1.0, 3.0)
         assert float(bound) == expected
         assert float(t_num) <= expected + 1e-3
+
+    def test_settled_run_stops_at_the_fixed_point(self, capsys):
+        # omega settles at 2 after about 1,650 steps; 1e7 / 0.02 steps would follow
+        assert main(["riccati", "--forcing", "2", "--omega0", "0", "--t-max", "1e7"]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[1]
+        assert line.split(",") == ["scalar", "0.0", "false", "", ""]
+
+    def test_unsettled_run_hits_the_step_cap(self, capsys):
+        # omega decays like 2/t and never settles
+        assert main(["riccati", "--forcing", "0", "--omega0", "0.5",
+                     "--t-max", "1e7"]) == 3
+        err = _one_error_line(capsys)
+        assert f"{chbreak.riccati.MAX_STEPS} steps" in err
 
     def test_csv_matches_console(self, tmp_path, capsys):
         dest = tmp_path / "riccati.csv"

@@ -1,5 +1,6 @@
 """INI parsing with line-anchored errors, canonical emission, round-trips."""
 
+import dataclasses
 import math
 
 import pytest
@@ -227,20 +228,22 @@ class TestEmit:
 
 
 class TestRefinement:
-    def test_doubles_grid_and_halves_cfl(self):
+    def test_doubles_grid_and_keeps_cfl(self):
         cfg = parse_config(FULL)
         fine = cfg.with_refinement()
         assert fine.grid.n_points == 2048
         assert fine.grid.half_length == 30.0
-        assert fine.cfl_factor == pytest.approx(0.125)
-        assert fine.datum == cfg.datum
-        assert fine.t_end == cfg.t_end
+        assert fine.cfl_factor == cfg.cfl_factor == 0.25
+        # every field other than the grid is kept as it is
+        assert dataclasses.replace(fine, grid=cfg.grid) == cfg
 
     def test_factor_four(self):
         cfg = parse_config(MINIMAL)
         fine = cfg.with_refinement(4)
         assert fine.grid.n_points == 1024
-        assert fine.cfl_factor == pytest.approx(0.075)
+        assert fine.grid.half_length == cfg.grid.half_length
+        assert fine.cfl_factor == cfg.cfl_factor
+        assert dataclasses.replace(fine, grid=cfg.grid) == cfg
 
 
 def test_load_config_missing_file(tmp_path):

@@ -1,32 +1,21 @@
-"""Blow-up time/rate extraction and the energy-law residual."""
-
-import math
+"""Blow-up time/rate extraction."""
 
 import numpy as np
 import pytest
 
 from chbreak import (
     DiagnosticsRecord,
-    DissipationProfile,
-    energy_law_residual,
     estimate_blowup,
     track_rate,
 )
 from chbreak.diagnostics import reciprocal_blowup_fit
 
 
-def _records(ts, energies=None, slopes=None, profile=None):
-    n = len(ts)
-    if energies is None:
-        energies = np.ones(n)
-    if slopes is None:
-        slopes = -np.ones(n)
-    lam = profile.integral if profile is not None else (lambda t: 0.0)
+def _records(ts, slopes):
     return [
-        DiagnosticsRecord(t=float(t), energy=float(e), min_slope=float(m),
-                          x_at_min=0.0, sup_abs=1.0, dt=1e-3,
-                          lam_integral=lam(float(t)))
-        for t, e, m in zip(ts, energies, slopes)
+        DiagnosticsRecord(t=float(t), energy=1.0, min_slope=float(m),
+                          x_at_min=0.0, sup_abs=1.0, dt=1e-3, lam_integral=0.0)
+        for t, m in zip(ts, slopes)
     ]
 
 
@@ -91,7 +80,7 @@ class TestReciprocalFit:
 def test_estimate_blowup_matches_array_fit():
     ts = np.linspace(0.9, 0.999, 200)
     slopes = -2.0 / (1.0 - ts)
-    recs = _records(ts, slopes=slopes)
+    recs = _records(ts, slopes)
     from_records = estimate_blowup(recs)
     direct = reciprocal_blowup_fit(ts, slopes)
     assert from_records == direct
@@ -102,45 +91,3 @@ def test_track_rate_alias():
     slopes = (-2.0 / (1.0 - ts)).tolist()
     fit = track_rate(ts.tolist(), slopes)
     assert fit.rate == pytest.approx(-2.0, abs=1e-6)
-
-
-class TestEnergyLaw:
-    profile = DissipationProfile.sinusoidal(0.3, 0.2, 2.0)
-
-    def test_exact_decay_has_zero_residual(self):
-        ts = np.linspace(0.0, 2.0, 40)
-        e0 = 1.7
-        energies = [e0 * math.exp(-2.0 * self.profile.integral(t)) for t in ts]
-        recs = _records(ts, energies=energies, profile=self.profile)
-        assert energy_law_residual(recs, self.profile) < 1e-14
-
-    def test_detects_violation(self):
-        ts = np.linspace(0.0, 2.0, 40)
-        e0 = 1.7
-        energies = [e0 * math.exp(-2.0 * self.profile.integral(t)) for t in ts]
-        energies[25] *= 1.01
-        recs = _records(ts, energies=energies, profile=self.profile)
-        assert energy_law_residual(recs, self.profile) == pytest.approx(
-            0.01 * energies[25] / 1.01 / e0, rel=1e-6)
-
-    def test_collapsed_rows_excluded(self):
-        ts = np.linspace(0.0, 2.0, 40)
-        e0 = 1.7
-        energies = [e0 * math.exp(-2.0 * self.profile.integral(t)) for t in ts]
-        energies[-1] *= 5.0   # corrupt a row that sits past the slope floor
-        slopes = -np.ones(40)
-        slopes[-1] = -1e7
-        recs = _records(ts, energies=energies, slopes=slopes, profile=self.profile)
-        assert energy_law_residual(recs, self.profile) < 1e-14
-
-    def test_degenerate_inputs(self):
-        assert math.isnan(energy_law_residual([], self.profile))
-        recs = _records([0.0, 1.0], energies=[0.0, 0.0])
-        assert math.isnan(energy_law_residual(recs, self.profile))
-
-    def test_explicit_reference_energy(self):
-        ts = np.linspace(0.0, 1.0, 20)
-        p = DissipationProfile.constant(0.0)
-        recs = _records(ts, energies=np.full(20, 2.0))
-        assert energy_law_residual(recs, p, energy0=2.0) < 1e-15
-        assert energy_law_residual(recs, p, energy0=1.0) == pytest.approx(1.0)

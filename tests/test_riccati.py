@@ -130,6 +130,16 @@ class TestSolveOmega:
         assert traj.values[-1] == pytest.approx(root, abs=1e-6)
         assert traj.ts[-1] == pytest.approx(20.0)
 
+    def test_fixed_point_of_the_step_ends_the_march(self):
+        # the ODE is autonomous: once a step returns its input exactly, the
+        # value holds to t_max without marching 1e7 / 0.02 more steps
+        traj = solve_omega(0.0, 2.0, 0.0, t_max=1e7)
+        assert not traj.blew_up
+        assert traj.ts.size < 2000
+        assert traj.ts[-1] == 1e7
+        assert traj.values[-1] == traj.values[-2] == pytest.approx(2.0, abs=1e-12)
+        assert np.all(np.diff(traj.ts) > 0.0)
+
     def test_sampling_past_blowup_is_nan(self):
         traj = solve_omega(0.0, 0.0, -1.0, sample_times=[0.0, 1.0, 1.9, 5.0])
         vals = traj.requested_values

@@ -15,6 +15,8 @@ from chbreak import (
     SolverState,
     bounded_forcing,
     deriv,
+    estimate_blowup,
+    find_breaking_datum,
     forcing_constant,
     h1_norm_sq,
     make_datum,
@@ -122,6 +124,21 @@ class TestStep:
         state = SolverState(0.0, make_datum(SMOOTH, GRID))
         with pytest.raises(NumericsError):
             step(state, cfg)
+
+    def test_halvings_counted(self, monkeypatch):
+        real = solver._rk4
+        calls = []
+
+        def fails_once(u, t, dt, profile):
+            calls.append(dt)
+            out = real(u, t, dt, profile)
+            return out * math.nan if len(calls) == 1 else out
+
+        monkeypatch.setattr(solver, "_rk4", fails_once)
+        state = SolverState(0.0, make_datum(SMOOTH, GRID))
+        out = step(state, _cfg())
+        assert calls[1] == 0.5 * calls[0]
+        assert (out.last_dt, out.halvings, out.step_index) == (calls[1], 1, 1)
 
     def test_self_convergence_order(self):
         finals = {}
@@ -242,6 +259,20 @@ class TestBreakingRun:
         assert out.m_switch is None
         assert out.frozen_forcing is None
         assert not out.resolution_degraded
+
+
+def test_halving_the_cfl_number_moves_neither_t_star_nor_rate():
+    # refinement keeps the CFL number, so dt only scales with dx; the
+    # acceptance datum must already be resolved in time at cfl 0.3
+    res = find_breaking_datum("gaussian_derivative", 0.1, "slope_only", amplitude=2.0)
+    fits = []
+    for cfl in (0.3, 0.15):
+        cfg = SolverConfig(grid=Grid(30.0, 4096), datum=res.datum,
+                           profile=DissipationProfile.constant(0.1), t_end=4.0,
+                           cfl_factor=cfl)
+        fits.append(estimate_blowup(run(cfg).records))
+    assert fits[1].t_star == pytest.approx(fits[0].t_star, rel=1e-4)
+    assert fits[1].rate == pytest.approx(fits[0].rate, rel=1e-4)
 
 
 class TestCollapseSwitch:
