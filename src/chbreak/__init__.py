@@ -12,7 +12,6 @@ from .criteria import (
     CriterionReport,
     check_criterion1,
     check_criterion2,
-    compute_K,
     forcing_constant,
     m_prime_rhs,
     riccati_forcing,
@@ -38,8 +37,6 @@ from .grid import (
     check_edge_decay,
     conv_P_minus,
     conv_P_plus,
-    dealiased_product,
-    dealiased_square,
     deriv,
     h1_norm_sq,
     helmholtz_inverse,
@@ -54,7 +51,6 @@ from .model import (
     InitialDatum,
     bounded_forcing,
     find_breaking_datum,
-    h_eval,
     make_datum,
     rhs,
     slope_rhs,
@@ -71,12 +67,10 @@ from .riccati import (
 from .characteristics import (
     CharacteristicTrack,
     LemmaResidual,
-    MixedMonitor,
     advance,
     build_aux,
     diffeo_factor,
     lemma_residual,
-    mixed_monitor,
     start_track,
 )
 from .solver import RunOutcome, SolverConfig, SolverState, run, step
@@ -97,7 +91,6 @@ __all__ = [
     "Grid",
     "InitialDatum",
     "LemmaResidual",
-    "MixedMonitor",
     "NumericsError",
     "OdeTrajectory",
     "RateEstimate",
@@ -114,11 +107,8 @@ __all__ = [
     "check_criterion2",
     "check_edge_decay",
     "chen_bound",
-    "compute_K",
     "conv_P_minus",
     "conv_P_plus",
-    "dealiased_product",
-    "dealiased_square",
     "deriv",
     "diffeo_factor",
     "emit_config",
@@ -126,14 +116,12 @@ __all__ = [
     "find_breaking_datum",
     "forcing_constant",
     "h1_norm_sq",
-    "h_eval",
     "helmholtz_inverse",
     "interp",
     "lemma_residual",
     "load_config",
     "m_prime_rhs",
     "make_datum",
-    "mixed_monitor",
     "omega_bound",
     "parse_config",
     "rhs",

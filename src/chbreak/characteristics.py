@@ -20,7 +20,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .diagnostics import geometric_mean
 from .grid import Field, conv_P_minus, conv_P_plus, from_spectrum, interp
 from .model import DissipationProfile, _nonlinear_spectra, _rhs_from, _slope_rhs_from
 from .riccati import rk4
@@ -44,7 +43,7 @@ class TrackAux:
 
 
 def build_aux(u: Field, t: float, profile: DissipationProfile,
-              edge_tol: float = 1.0e-8) -> TrackAux:
+              edge_tol: float) -> TrackAux:
     """Every per-step field the tracks read, from one pass of the kernel.
 
     ux, uxx, rhs_field and slope_field equal deriv, second_deriv, rhs and
@@ -89,18 +88,6 @@ class CharacteristicTrack:
     @property
     def n_samples(self) -> int:
         return len(self.times)
-
-    def phi(self) -> np.ndarray:
-        """(u - u_x) along the track: the component driven up by breaking."""
-        return np.asarray(self.u_vals) - np.asarray(self.ux_vals)
-
-    def psi(self) -> np.ndarray:
-        """(u + u_x) along the track: the component driven down."""
-        return np.asarray(self.u_vals) + np.asarray(self.ux_vals)
-
-    def g(self) -> np.ndarray:
-        """sqrt(-phi * psi) = sqrt(u_x^2 - u^2); nan where undefined."""
-        return geometric_mean(self.phi(), self.psi())
 
 
 def _append_sample(track: CharacteristicTrack, grid, t, q, v, w, rhs_u, rhs_ux,
@@ -235,48 +222,6 @@ def lemma_residual(track: CharacteristicTrack) -> LemmaResidual:
             gap_u = max(gap_u, abs(ru[i] - rua[i]) / max(1.0, abs(ru[i])))
             gap_w = max(gap_w, abs(rw[i] - rwa[i]) / max(1.0, abs(rw[i])))
     return LemmaResidual(worst_u, worst_w, gap_u, gap_w, n)
-
-
-@dataclass(frozen=True)
-class MixedMonitor:
-    """Watched (not asserted) structure of a two-sided-criterion track.
-
-    While u - u_x > 0 > u + u_x the geometric mean g should never decrease
-    and can never exceed -u_x. Violations are reported here for the caller
-    to judge; the sign pattern itself is only proven for the comparison
-    pair, so losing it mid-track is an observation, not an error.
-    """
-
-    signs_ok_initially: bool
-    t_signs_lost: float | None     # first sample time with the pattern broken
-    worst_step_decrease: float     # max per-step drop of g while signs held
-    worst_slope_excess: float      # max of g + u_x while signs held (<= 0 ideally)
-    n_checked: int
-
-
-def mixed_monitor(track: CharacteristicTrack) -> MixedMonitor:
-    ts = np.asarray(track.times)
-    if ts.size == 0:
-        return MixedMonitor(False, None, 0.0, 0.0, 0)
-    u = np.asarray(track.u_vals)
-    w = np.asarray(track.ux_vals)
-    phi = u - w
-    psi = u + w
-    signs = (phi > 0.0) & (psi < 0.0)
-    bad = np.nonzero(~signs)[0]
-    upto = int(bad[0]) if bad.size else ts.size
-    t_lost = float(ts[bad[0]]) if bad.size else None
-    if upto == 0:
-        return MixedMonitor(False, t_lost, 0.0, 0.0, 0)
-    g = np.sqrt(-phi[:upto] * psi[:upto])
-    decrease = float(np.max(g[:-1] - g[1:])) if upto >= 2 else 0.0
-    return MixedMonitor(
-        signs_ok_initially=True,
-        t_signs_lost=t_lost,
-        worst_step_decrease=max(0.0, decrease),
-        worst_slope_excess=float(np.max(g + w[:upto])),
-        n_checked=upto,
-    )
 
 
 def diffeo_factor(track: CharacteristicTrack) -> np.ndarray:

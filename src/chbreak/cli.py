@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, emit_config, load_config, parse_config
+from .config import RunConfig, emit_config, load_config
 from .criteria import check_criterion1, check_criterion2
 from .diagnostics import estimate_blowup
 from .errors import ChbreakError, ConfigError
@@ -223,7 +223,7 @@ def _cmd_riccati(args) -> int:
     if args.coupled:
         traj = solve_coupled(args.delta, args.forcing, args.rising0, args.falling0,
                              t_max=args.t_max)
-        g0 = math.sqrt(max(0.0, -args.rising0 * args.falling0))
+        g0 = math.sqrt(-args.rising0 * args.falling0)
         bound = two_sided_bound(args.delta, args.forcing, g0)
         rows.append(("coupled", args.falling0, traj.blew_up, traj.t_blowup, bound))
     else:
@@ -250,15 +250,14 @@ SWEEP_COLUMNS = ("index", "family", "amplitude", "width", "delta", "energy",
 
 
 def _sweep_cell(packed):
-    index, text, amplitude, width, delta = packed
+    index, template, amplitude, width, delta = packed
     try:
-        cfg = parse_config(text, "<sweep>")
-        datum = dataclasses.replace(cfg.datum, amplitude=amplitude, width=width)
-        profile = cfg.profile
+        datum = dataclasses.replace(template.datum, amplitude=amplitude, width=width)
+        profile = template.profile
         if delta is not None:
             profile = DissipationProfile.constant(delta)
-        cfg = dataclasses.replace(cfg, datum=datum, profile=profile)
-        rep = _criteria_reports(cfg)[0]
+        cfg = dataclasses.replace(template, datum=datum, profile=profile)
+        rep = check_criterion1(make_datum(datum, cfg.grid, cfg.edge_tol), profile.delta_sup)
         outcome = run(cfg)
         est = estimate_blowup(outcome.records)
         return {
@@ -295,7 +294,6 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if cfg.datum.family == "samples":
         raise ConfigError("sweep needs an analytic datum family as the template")
-    text = emit_config(cfg)
     deltas = args.deltas if args.deltas else [None]
     if args.deltas and cfg.profile.kind != "constant":
         raise ConfigError("--deltas requires a constant dissipation profile")
@@ -304,7 +302,7 @@ def _cmd_sweep(args) -> int:
     for delta in deltas:
         for amplitude in args.amplitudes:
             for width in args.widths:
-                cells.append((index, text, amplitude, width, delta))
+                cells.append((index, cfg, amplitude, width, delta))
                 index += 1
     # a fork pool starts all its workers at the first submit
     workers = max(1, min(_workers(args.workers), len(cells)))

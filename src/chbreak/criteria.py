@@ -37,11 +37,6 @@ def slope_threshold(delta: float, forcing: float) -> float:
     return -delta - math.sqrt(delta * delta + 2.0 * forcing)
 
 
-def compute_K(u0: Field) -> float:
-    """forcing_constant evaluated on a gridded datum."""
-    return forcing_constant(h1_norm_sq(u0))
-
-
 @dataclass(frozen=True)
 class CriterionReport:
     """Outcome of testing a datum against one breaking criterion."""

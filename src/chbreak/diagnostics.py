@@ -89,13 +89,13 @@ def reciprocal_blowup_fit(ts: np.ndarray, vals: np.ndarray,
     )
 
 
-def estimate_blowup(records, entry: float = DEFAULT_FIT_ENTRY) -> RateEstimate | None:
+def estimate_blowup(records) -> RateEstimate | None:
     """Blow-up time and rate from a run's minimum-slope series."""
     ts = np.array([r.t for r in records])
     ms = np.array([r.min_slope for r in records])
-    return reciprocal_blowup_fit(ts, ms, entry)
+    return reciprocal_blowup_fit(ts, ms)
 
 
-def track_rate(times, slopes, entry: float = DEFAULT_FIT_ENTRY) -> RateEstimate | None:
+def track_rate(times, slopes) -> RateEstimate | None:
     """Reciprocal fit for a slope series sampled along a characteristic."""
-    return reciprocal_blowup_fit(np.asarray(times), np.asarray(slopes), entry)
+    return reciprocal_blowup_fit(np.asarray(times), np.asarray(slopes))

@@ -96,10 +96,6 @@ class Grid:
         return self.n_points // 3
 
     @cached_property
-    def padded_points(self) -> int:
-        return 3 * self.n_points // 2
-
-    @cached_property
     def helmholtz_multiplier(self) -> np.ndarray:
         k = self.wavenumbers
         return 1.0 / (1.0 + k * k)
@@ -164,9 +160,6 @@ class Field:
 
     __rmul__ = __mul__
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     @property
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -198,10 +191,6 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Fourier multiplier operations
-
-
-def spectrum(f: Field) -> np.ndarray:
-    return np.fft.rfft(f.values)
 
 
 def from_spectrum(grid: Grid, coeffs: np.ndarray) -> Field:
@@ -266,27 +255,6 @@ def tail_fraction(f: Field) -> float:
         return 0.0
     top = float(np.sum(power[kc // 2: kc + 1]))
     return top / total
-
-
-# ---------------------------------------------------------------------------
-# Dealiased products
-
-
-def dealiased_product(f: Field, g: Field) -> Field:
-    """Galerkin product: both factors are projected to the band first, their
-    product is formed at the N nodes and projected back to the band.
-
-    Aliases of a product of band-kc factors fall outside the band (module
-    docstring), so for band-limited factors the result is exact and the only
-    approximation is the final Galerkin truncation.
-    """
-    f._match(g)
-    a, b = (band_values(f.grid, np.fft.rfft(h.values)) for h in (f, g))
-    return from_spectrum(f.grid, band_spectrum(f.grid, a * b))
-
-
-def dealiased_square(f: Field) -> Field:
-    return dealiased_product(f, f)
 
 
 # ---------------------------------------------------------------------------

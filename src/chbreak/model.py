@@ -32,6 +32,8 @@ from .grid import (
 
 DATUM_FAMILIES = ("gaussian_derivative", "sech_squared", "antisym_peak", "samples")
 PROFILE_KINDS = ("constant", "linear_ramp", "sinusoidal", "piecewise")
+ENERGY_QUAD_INTERVALS = 1 << 15
+MIXED_SAMPLE_INTERVALS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +235,12 @@ class InitialDatum:
             return 13.0 * self.width
         return 25.0 * self.width
 
-    def energy(self, n_quad: int = 1 << 15) -> float:
+    def energy(self) -> float:
         """H^1 energy of the line profile by dense trapezoid quadrature."""
         if self.family == "samples":
             raise ConfigError("samples datum energy requires a grid; use h1_norm_sq")
         r = self.reach()
-        xs = np.linspace(self.center - r, self.center + r, n_quad + 1)
+        xs = np.linspace(self.center - r, self.center + r, ENERGY_QUAD_INTERVALS + 1)
         u = self.evaluate(xs)
         du = self.derivative(xs)
         return float(np.trapezoid(u * u + du * du, xs))
@@ -294,12 +296,6 @@ def _nonlinear_spectra(grid: Grid, v: np.ndarray) -> NonlinearSpectra:
     cube = band_spectrum(grid, band_values(grid, sq) * u_band)
     local = cube - 0.5 * sq
     return NonlinearSpectra(u_hat, ux_hat, advect, sq, slopesq, local, local + 0.5 * slopesq)
-
-
-def h_eval(u: Field) -> Field:
-    """h(u) = u^3 - (3/2) u^2 with fully dealiased products."""
-    s = _nonlinear_spectra(u.grid, u.values)
-    return from_spectrum(u.grid, s.local - s.sq)
 
 
 def _rhs_from(u: Field, s: NonlinearSpectra, lam: float) -> Field:
@@ -371,10 +367,10 @@ class BreakingSearchResult:
     location: tuple[float, float] | None = None   # mixed only
 
 
-def _mixed_extreme(datum: InitialDatum, n_sample: int = 8192) -> tuple[float, float]:
+def _mixed_extreme(datum: InitialDatum) -> tuple[float, float]:
     """Dense-sample argmin of u0' + |u0| over the datum's support."""
     r = datum.reach()
-    xs = np.linspace(datum.center - r, datum.center + r, n_sample + 1)
+    xs = np.linspace(datum.center - r, datum.center + r, MIXED_SAMPLE_INTERVALS + 1)
     w = datum.derivative(xs) + np.abs(datum.evaluate(xs))
     j = int(np.argmin(w))
     x1, val = float(xs[j]), float(w[j])

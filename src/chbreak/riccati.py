@@ -20,8 +20,8 @@ import numpy as np
 from .diagnostics import RateEstimate, geometric_mean, reciprocal_blowup_fit
 from .errors import ConfigError, NumericsError
 
-DEFAULT_DIVERGENCE = 1.0e8
-DEFAULT_STEP_SCALE = 0.02
+DIVERGENCE = 1.0e8
+STEP_SCALE = 0.02
 MAX_STEPS = 250_000
 
 
@@ -31,7 +31,6 @@ class OdeTrajectory:
     values: np.ndarray
     blew_up: bool
     fit: RateEstimate | None
-    requested_times: np.ndarray | None = None
     requested_values: np.ndarray | None = None
 
     @property
@@ -126,9 +125,9 @@ def rk4(fun, t, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(fun, y0, t_max, step_scale, divergence):
-    """RK4 from t = 0 with steps step_scale / max(1, |y|), |y| the largest
-    component, until t_max, |y| >= divergence or a non-finite step.
+def _march(fun, y0, t_max):
+    """RK4 from t = 0 with steps STEP_SCALE / max(1, |y|), |y| the largest
+    component, until t_max, |y| >= DIVERGENCE or a non-finite step.
 
     Both comparison problems are autonomous, so once a step returns its
     input exactly every later step of that size would too: the march stops
@@ -140,11 +139,11 @@ def _march(fun, y0, t_max, step_scale, divergence):
     ts, ys = [0.0], [y0]
     t, y = 0.0, y0
     size = float(np.abs(y0).max())
-    while t < t_max and size < divergence:
+    while t < t_max and size < DIVERGENCE:
         if len(ts) > MAX_STEPS:
             raise NumericsError(f"comparison march passed {MAX_STEPS} steps at "
                                 f"t={t:.6g} of t_max={t_max:.6g}")
-        dt = min(step_scale / max(1.0, size), t_max - t)
+        dt = min(STEP_SCALE / max(1.0, size), t_max - t)
         y_next = rk4(fun, t, y, dt)
         size_next = float(np.abs(y_next).max())
         if size_next == size and np.array_equal(y_next, y):
@@ -157,7 +156,7 @@ def _march(fun, y0, t_max, step_scale, divergence):
         ts.append(t)
         ys.append(y)
     ys_arr = np.array(ys)
-    return np.array(ts), ys_arr, bool(np.max(np.abs(ys_arr[-1])) >= divergence)
+    return np.array(ts), ys_arr, bool(np.max(np.abs(ys_arr[-1])) >= DIVERGENCE)
 
 
 def solve_omega(
@@ -165,26 +164,24 @@ def solve_omega(
     forcing: float,
     omega0: float,
     t_max: float = 20.0,
-    step_scale: float = DEFAULT_STEP_SCALE,
-    divergence: float = DEFAULT_DIVERGENCE,
     sample_times=None,
 ) -> OdeTrajectory:
     """Integrate the scalar comparison problem with slope-adapted RK4 steps.
 
-    Steps shrink like step_scale / |omega| so the divergence is tracked all
+    Steps shrink like STEP_SCALE / |omega| so the divergence is tracked all
     the way to the cutoff. When sample_times is given, values at those times
     are returned as well (linear interpolation of the dense solution, nan
     past the blow-up cutoff).
     """
     fun = lambda _t, y: -delta * y - 0.5 * y * y + forcing
-    ts_arr, ys_arr, blew = _march(fun, float(omega0), t_max, step_scale, divergence)
+    ts_arr, ys_arr, blew = _march(fun, float(omega0), t_max)
     fit = reciprocal_blowup_fit(ts_arr, ys_arr) if blew else None
-    req_t = req_v = None
+    req_v = None
     if sample_times is not None:
         req_t = np.asarray(sample_times, dtype=float)
         req_v = np.interp(req_t, ts_arr, ys_arr, left=np.nan, right=np.nan)
         req_v[req_t > ts_arr[-1]] = np.nan
-    return OdeTrajectory(ts_arr, ys_arr, blew, fit, req_t, req_v)
+    return OdeTrajectory(ts_arr, ys_arr, blew, fit, req_v)
 
 
 def solve_coupled(
@@ -193,8 +190,6 @@ def solve_coupled(
     rising0: float,
     falling0: float,
     t_max: float = 20.0,
-    step_scale: float = DEFAULT_STEP_SCALE,
-    divergence: float = DEFAULT_DIVERGENCE,
 ) -> CoupledTrajectory:
     """Integrate the coupled comparison pair
 
@@ -209,7 +204,13 @@ def solve_coupled(
     along the trajectory, normalized by max(1, |quadratic|), is recorded as
     g_margin (interior samples with the sign pattern intact and g above the
     threshold; finite-difference g' via nonuniform centered differences).
+
+    The pair brackets only starts with rising0 > 0 > falling0; any other
+    start raises ConfigError.
     """
+    if not rising0 > 0.0 > falling0:
+        raise ConfigError(f"the coupled pair needs rising0 > 0 > falling0, "
+                          f"got {rising0!r} and {falling0!r}")
 
     def fun(_t, state):
         r, f = state
@@ -219,7 +220,7 @@ def solve_coupled(
         ])
 
     start = np.array([float(rising0), float(falling0)])
-    ts_arr, arr, blew = _march(fun, start, t_max, step_scale, divergence)
+    ts_arr, arr, blew = _march(fun, start, t_max)
     rising = arr[:, 0]
     falling = arr[:, 1]
     fit = reciprocal_blowup_fit(ts_arr, falling) if blew else None

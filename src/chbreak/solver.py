@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .characteristics import CharacteristicTrack, advance, advance_frozen, build_aux, start_track
-from .criteria import forcing_constant
+from .criteria import forcing_constant, slope_threshold
 from .diagnostics import DiagnosticsRecord
 from .errors import EdgeDecayError, NumericsError
 from .grid import (
@@ -187,7 +187,7 @@ def run(cfg: SolverConfig, sink=None, state_sink=None) -> RunOutcome:
     tracks: list[CharacteristicTrack] = []
     aux = None
     if cfg.seeds:
-        aux = build_aux(u, 0.0, profile)
+        aux = build_aux(u, 0.0, profile, cfg.edge_tol)
         tracks = [start_track(s, aux) for s in cfg.seeds]
     outcome = RunOutcome(
         kind="reached_horizon", t_final=0.0, records=records, tracks=tracks,
@@ -231,9 +231,8 @@ def run(cfg: SolverConfig, sink=None, state_sink=None) -> RunOutcome:
         if stop is None and m <= cfg.breaking_threshold:
             stop = "breaking_detected"
         if stop is None and tail_fraction(u) > cfg.tail_tol:
-            delta = profile.delta_sup
-            certified_level = -cfg.collapse_margin * (
-                delta + math.sqrt(delta * delta + 2.0 * forcing_constant(energy)))
+            certified_level = cfg.collapse_margin * slope_threshold(
+                profile.delta_sup, forcing_constant(energy))
             if m < certified_level:
                 stop = "collapse"    # certified: continue against the frozen fields
             else:

@@ -1,4 +1,4 @@
-"""Flow-map tracks: transport laws, dual routes, monitors, diffeo factor."""
+"""Flow-map tracks: transport laws, dual routes, the two-sided structure, diffeo factor."""
 
 import math
 
@@ -16,11 +16,11 @@ from chbreak import (
     diffeo_factor,
     lemma_residual,
     make_datum,
-    mixed_monitor,
     run,
     start_track,
 )
 from chbreak.characteristics import advance_frozen
+from chbreak.diagnostics import geometric_mean
 from chbreak.grid import deriv, second_deriv
 from chbreak.model import rhs, slope_rhs
 
@@ -89,7 +89,7 @@ class TestBasicTransport:
 
     def test_start_track(self):
         u = make_datum(SMOOTH_DATUM, SMOOTH_GRID)
-        aux = build_aux(u, 0.0, SMOOTH_PROFILE)
+        aux = build_aux(u, 0.0, SMOOTH_PROFILE, 1e-8)
         tr = start_track(0.5, aux)
         assert tr.seed == 0.5
         assert tr.n_samples == 1
@@ -100,7 +100,7 @@ class TestBasicTransport:
         # build_aux shares one kernel pass; the separate calls are the reference
         u = make_datum(SMOOTH_DATUM, SMOOTH_GRID)
         t = 0.4
-        aux = build_aux(u, t, SMOOTH_PROFILE)
+        aux = build_aux(u, t, SMOOTH_PROFILE, 1e-8)
         assert aux.lam == SMOOTH_PROFILE.rate(t)
         for got, expect in ((aux.ux, deriv(u)), (aux.uxx, second_deriv(u)),
                             (aux.rhs_field, rhs(u, t, SMOOTH_PROFILE)),
@@ -113,7 +113,7 @@ class TestBasicTransport:
         grid = Grid(30.0, 1024)
         u = make_datum(SMOOTH_DATUM, grid)
         fft_lengths.clear()
-        build_aux(u, 0.4, SMOOTH_PROFILE)
+        build_aux(u, 0.4, SMOOTH_PROFILE, 1e-8)
         assert len(fft_lengths) == 18
 
 
@@ -161,20 +161,22 @@ class TestBreakingTrack:
         assert df[-1] < 1e-6    # dq/dseed crushed at the front
 
     def test_monitor_clean_along_breaking_track(self, breaking_run):
-        mon = mixed_monitor(breaking_run.tracks[0])
-        assert mon.signs_ok_initially
-        assert mon.t_signs_lost is None
-        assert mon.worst_step_decrease <= 1e-6
-        assert mon.worst_slope_excess <= 1e-9
-        assert mon.n_checked == breaking_run.tracks[0].n_samples
+        # while u - u_x > 0 > u + u_x, g = sqrt(u_x^2 - u^2) never decreases
+        # and never exceeds -u_x; the signs hold on every sample here
+        tr = breaking_run.tracks[0]
+        u = np.asarray(tr.u_vals)
+        w = np.asarray(tr.ux_vals)
+        phi, psi = u - w, u + w
+        assert np.all((phi > 0.0) & (psi < 0.0))
+        g = np.sqrt(-phi * psi)
+        assert np.max(g[:-1] - g[1:]) <= 1e-6
+        assert np.max(g + w) <= 1e-9
 
     def test_g_identity(self, breaking_run):
         tr = breaking_run.tracks[0]
         u = np.asarray(tr.u_vals)
         w = np.asarray(tr.ux_vals)
-        assert np.allclose(tr.phi(), u - w, atol=1e-15)
-        assert np.allclose(tr.psi(), u + w, atol=1e-15)
-        g = tr.g()
+        g = geometric_mean(u - w, u + w)
         prod = w * w - u * u
         ok = prod > 0.0
         assert np.allclose(g[ok], np.sqrt(prod[ok]), rtol=1e-12)
@@ -200,42 +202,6 @@ class TestEdgeContamination:
         tr = out.tracks[0]
         assert tr.edge_contaminated
         assert not any(tr.reliable)
-
-
-class TestMixedMonitorUnit:
-    def _track(self, times, u_vals, ux_vals):
-        tr = CharacteristicTrack(seed=0.0)
-        tr.times = list(times)
-        tr.u_vals = list(u_vals)
-        tr.ux_vals = list(ux_vals)
-        return tr
-
-    def test_sign_loss_reported(self):
-        tr = self._track([0.0, 1.0, 2.0], [0.0, 0.0, 2.0], [-1.0, -2.0, 1.0])
-        mon = mixed_monitor(tr)
-        assert mon.signs_ok_initially
-        assert mon.t_signs_lost == 2.0
-        assert mon.n_checked == 2
-        assert mon.worst_step_decrease == 0.0
-        assert mon.worst_slope_excess == pytest.approx(0.0, abs=1e-15)
-
-    def test_bad_start(self):
-        tr = self._track([0.0, 1.0], [0.0, 0.0], [1.0, -1.0])
-        mon = mixed_monitor(tr)
-        assert not mon.signs_ok_initially
-        assert mon.t_signs_lost == 0.0
-        assert mon.n_checked == 0
-
-    def test_decrease_measured(self):
-        # g shrinks from 2 to 1 between the samples
-        tr = self._track([0.0, 1.0], [0.0, 0.0], [-2.0, -1.0])
-        mon = mixed_monitor(tr)
-        assert mon.worst_step_decrease == pytest.approx(1.0)
-
-    def test_empty(self):
-        mon = mixed_monitor(CharacteristicTrack(seed=0.0))
-        assert not mon.signs_ok_initially
-        assert mon.n_checked == 0
 
 
 class TestFrozenAdvance:

@@ -434,6 +434,12 @@ class TestBadInputExitsTwo:
         assert main(["riccati", "--forcing", "-5", "--omega0", "-3"]) == 2
         assert "--forcing" in _one_error_line(capsys)
 
+    def test_riccati_coupled_start_outside_the_bracket(self, capsys):
+        # rejected before the march, which would run to its step cap and exit 3
+        assert main(["riccati", "--coupled", "--delta", "0.1", "--forcing", "0",
+                     "--rising0", "1", "--falling0", "1", "--t-max", "1e7"]) == 2
+        assert "rising0 > 0 > falling0" in _one_error_line(capsys)
+
     @pytest.mark.parametrize("t_max", ["inf", "nan", "0", "-1"])
     def test_riccati_horizon_out_of_range(self, capsys, t_max):
         assert main(["riccati", "--forcing", "2", "--omega0", "0", f"--t-max={t_max}"]) == 2

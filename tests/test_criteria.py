@@ -16,7 +16,6 @@ from chbreak import (
     SolverState,
     check_criterion1,
     check_criterion2,
-    compute_K,
     deriv,
     find_breaking_datum,
     forcing_constant,
@@ -55,11 +54,6 @@ class TestConstants:
         assert slope_threshold(0.0, 2.0) == pytest.approx(-2.0, rel=1e-14)
         assert slope_threshold(0.5, 1.0) == pytest.approx(-2.0, rel=1e-14)
         assert slope_threshold(1.0, 4.0) == pytest.approx(-4.0, rel=1e-14)
-
-    def test_compute_k_wires_through_energy(self):
-        u = _field(InitialDatum("gaussian_derivative", amplitude=0.7, width=1.1))
-        assert compute_K(u) == pytest.approx(forcing_constant(h1_norm_sq(u)),
-                                             rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,7 +189,7 @@ class TestSlopeLaw:
         cfg = SolverConfig(grid=self.grid, datum=self.datum, profile=self.profile,
                            t_end=0.6)
         state = SolverState(0.0, make_datum(self.datum, self.grid))
-        k0 = compute_K(state.u)
+        k0 = forcing_constant(h1_norm_sq(state.u))
         for _ in range(12):
             state = step(state, cfg)
             m = float(np.min(deriv(state.u).values))
@@ -214,7 +208,7 @@ class TestRiccatiForcing:
         u = make_datum(InitialDatum("gaussian_derivative", amplitude=amp,
                                     width=width), GRID)
         prof = DissipationProfile.constant(delta)
-        ceiling = compute_K(u) + 0.5 * delta * delta
+        ceiling = forcing_constant(h1_norm_sq(u)) + 0.5 * delta * delta
         assert abs(riccati_forcing(u, 0.0, prof)) <= ceiling * (1.0 + 1e-6)
 
     def test_lambda_term(self):

@@ -18,15 +18,12 @@ from chbreak import (
     SearchError,
     band_limit,
     bounded_forcing,
-    compute_K,
     conv_P_minus,
     conv_P_plus,
-    dealiased_square,
     deriv,
     find_breaking_datum,
     forcing_constant,
     h1_norm_sq,
-    h_eval,
     make_datum,
     rhs,
     slope_rhs,
@@ -224,18 +221,24 @@ class TestMakeDatum:
             make_datum(InitialDatum("samples", values=(1.0, 2.0)), GRID)
 
 
+def _h_values(u):
+    """h(u) = u^3 - (3/2) u^2 as the kernel forms it: local - sq."""
+    s = _nonlinear_spectra(u.grid, u.values)
+    return np.fft.irfft(s.local - s.sq, u.grid.n_points)
+
+
 class TestHEval:
     @pytest.mark.parametrize("c,expect", [(0.0, 0.0), (1.0, -0.5),
                                           (1.5, 0.0), (2.0, 2.0)])
     def test_constants(self, c, expect):
         g = Grid(30.0, 256)
-        out = h_eval(Field(g, np.full(256, c)))
-        assert np.allclose(out.values, expect, atol=1e-12)
+        out = _h_values(Field(g, np.full(256, c)))
+        assert np.allclose(out, expect, atol=1e-12)
 
     def test_matches_pointwise_on_resolved_field(self):
         u = _smooth_bump()
         v = u.values
-        assert np.max(np.abs(h_eval(u).values - (v ** 3 - 1.5 * v ** 2))) < 1e-10
+        assert np.max(np.abs(_h_values(u) - (v ** 3 - 1.5 * v ** 2))) < 1e-10
 
 
 class TestRhs:
@@ -281,7 +284,8 @@ class TestRhs:
 def _padded_product(grid, a_hat, b_hat):
     """Reference Galerkin product: both spectra zero-extended onto the 3N/2
     grid, multiplied there, truncated back to |k| <= kc."""
-    n, m = grid.n_points, grid.padded_points
+    n = grid.n_points
+    m = 3 * n // 2
 
     def fine(coeffs):
         padded = np.zeros(m // 2 + 1, dtype=complex)
@@ -353,13 +357,14 @@ class TestNativeGridProducts:
 class TestBoundedForcing:
     def test_stays_below_energy_ceiling(self):
         u = _smooth_bump(amp=1.1)
-        assert bounded_forcing(u).max_abs <= compute_K(u)
+        assert bounded_forcing(u).max_abs <= forcing_constant(h1_norm_sq(u))
 
     def test_dual_route_agreement(self):
         # spectral multiplier route vs one-sided marching kernels
         u = _smooth_bump()
-        local = dealiased_square(u) + h_eval(u)
-        flux = local + 0.5 * dealiased_square(deriv(u))
+        s = _nonlinear_spectra(u.grid, u.values)
+        local, flux = (Field(u.grid, np.fft.irfft(c, u.grid.n_points))
+                       for c in (s.local, s.flux))
         alt = local - (conv_P_plus(flux, 1e-5) + conv_P_minus(flux, 1e-5))
         assert np.max(np.abs(bounded_forcing(u).values - alt.values)) < 1e-6
 

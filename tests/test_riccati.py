@@ -172,6 +172,16 @@ class TestSolveCoupled:
         assert not traj.blew_up
         assert traj.fit is None
 
+    @pytest.mark.parametrize("rising0,falling0", [
+        (1.0, 1.0), (-1.0, -1.0), (0.0, -3.0), (3.0, 0.0), (-3.0, 3.0),
+        (math.nan, -3.0), (3.0, math.nan),
+    ])
+    def test_start_outside_the_bracket_is_rejected(self, rising0, falling0):
+        # outside rising0 > 0 > falling0 the pair brackets nothing, and a
+        # positive falling component grows like e^(delta t) for the whole march
+        with pytest.raises(ConfigError, match="rising0 > 0 > falling0"):
+            solve_coupled(0.1, 0.0, rising0, falling0, t_max=1e7)
+
     def test_geometric_mean_nan_outside_wedge(self):
         traj = solve_coupled(0.1, 1.0, rising0=1.0, falling0=-1.0, t_max=5.0)
         g = traj.geometric_mean()

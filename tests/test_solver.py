@@ -1,6 +1,7 @@
 """Time stepping, run orchestration, and the certified slope continuation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +185,19 @@ class TestRun:
         assert out.kind == "edge_decay_lost"
         assert out.t_final > 0.0
         assert out.records[-1].t == pytest.approx(out.t_final)
+
+    def test_seeded_run_checks_edges_with_the_configured_tolerance(self):
+        # the flux's Helmholtz tail at the edge is about e^-16 = 1e-7 of its
+        # peak: inside edge_tol = 1e-6, outside the 1e-8 default
+        cfg = _cfg(grid=Grid(30.0, 1024),
+                   datum=InitialDatum("gaussian_derivative", amplitude=0.5,
+                                      width=1.0, center=14.0),
+                   profile=DissipationProfile.constant(0.0), t_end=0.02,
+                   edge_tol=1e-6)
+        assert run(cfg).kind == "reached_horizon"
+        out = run(replace(cfg, seeds=(14.0,)))
+        assert out.kind == "reached_horizon"
+        assert out.tracks[0].n_samples == len(out.records)
 
     def test_record_stride(self):
         full = run(_cfg(t_end=0.5))
