@@ -9,6 +9,7 @@ the blow-up time, rate, and location from runs.
 
 from .config import RunConfig, emit_config, load_config, parse_config
 from .criteria import (
+    BreakingSearchResult,
     CriterionReport,
     check_criterion1,
     check_criterion2,
@@ -46,7 +47,6 @@ from .grid import (
     tail_fraction,
 )
 from .model import (
-    BreakingSearchResult,
     DissipationProfile,
     InitialDatum,
     bounded_forcing,

@@ -164,7 +164,7 @@ def _cmd_simulate(args) -> int:
             csv_fh = open(records_csv, "w", encoding="utf-8", newline="")
         writer = csv.writer(csv_fh)
         writer.writerow(CSV_COLUMNS)
-        sink = lambda rec: writer.writerow(_record_row(rec))
+        sink = lambda rec, _live: writer.writerow(_record_row(rec))
     started = time.perf_counter()
     try:
         outcome = run(cfg, sink=sink)
@@ -214,6 +214,11 @@ def _cmd_criteria(args) -> int:
 
 
 def _cmd_riccati(args) -> int:
+    for flag, values in (("--delta", [args.delta]), ("--forcing", [args.forcing]),
+                         ("--omega0", args.omega0), ("--rising0", [args.rising0]),
+                         ("--falling0", [args.falling0])):
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{flag} must be finite")
     if args.delta * args.delta + 2.0 * args.forcing < 0.0:
         raise ConfigError("--forcing must be at least -delta^2/2: below that the "
                           "comparison problem has no threshold")

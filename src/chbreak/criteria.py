@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .grid import Field, deriv, h1_norm_sq, interp
-from .model import DissipationProfile, bounded_forcing
+from .model import DissipationProfile, InitialDatum, bounded_forcing
 from .riccati import omega_bound, two_sided_bound
 
 
@@ -58,51 +58,57 @@ class CriterionReport:
     speed_bound: float | None = None             # mixed only
 
 
-def _relative_margin(threshold: float, extreme: float) -> float:
-    # zero threshold only for the zero datum; any scale works there
-    return (threshold - extreme) / max(abs(threshold), 1.0e-30)
+@dataclass(frozen=True, kw_only=True)
+class BreakingSearchResult(CriterionReport):
+    """The report of the datum find_breaking_datum picked, tested on the line."""
+
+    datum: InitialDatum
+
+
+def _assess(kind: str, delta: float, energy: float, point: float, slope: float,
+            amp: float) -> CriterionReport:
+    """The one verdict: criterion kind at a point where u0' = slope, u0 = amp.
+
+    The mixed criterion, when it holds, also certifies g0 = sqrt(slope^2 -
+    amp^2), the transport speed ceiling sqrt(E0/2) and the interval that
+    must contain the breaking location.
+    """
+    big_k = forcing_constant(energy)
+    threshold = slope_threshold(delta, big_k)
+    extreme = slope if kind == "slope_only" else slope + abs(amp)
+    satisfied = extreme < threshold
+    g0 = location = speed = None
+    if kind == "slope_only":
+        t_bound = omega_bound(delta, big_k, slope)
+    elif not satisfied:
+        t_bound = None
+    else:
+        spread = slope * slope - amp * amp
+        if spread <= 0.0:
+            # impossible when the condition truly holds; guards float noise
+            raise NumericsError(f"two-sided condition held at x = {point:.6g} but the "
+                                "slope does not dominate the amplitude there")
+        g0 = math.sqrt(spread)
+        t_bound = two_sided_bound(delta, big_k, g0)
+        if t_bound is not None:
+            speed = math.sqrt(energy / 2.0)
+            location = (point - speed * t_bound, point + speed * t_bound)
+    return CriterionReport(
+        kind=kind, satisfied=satisfied, delta=delta, energy=energy,
+        forcing_bound=big_k, threshold=threshold, point=point, slope_at_point=slope,
+        amp_at_point=amp, extreme=extreme,
+        # zero threshold only for the zero datum; any scale works there
+        margin=(threshold - extreme) / max(abs(threshold), 1.0e-30),
+        t_bound=t_bound, g0=g0, location=location, speed_bound=speed)
 
 
 def check_criterion1(u0: Field, delta: float) -> CriterionReport:
     """Slope-only criterion at the grid argmin of the initial slope."""
     energy = h1_norm_sq(u0)
-    big_k = forcing_constant(energy)
-    threshold = slope_threshold(delta, big_k)
     ux = deriv(u0)
     j = int(np.argmin(ux.values))
-    m0 = float(ux.values[j])
-    point = float(u0.grid.x[j])
-    return CriterionReport(
-        kind="slope_only",
-        satisfied=m0 < threshold,
-        delta=delta,
-        energy=energy,
-        forcing_bound=big_k,
-        threshold=threshold,
-        point=point,
-        slope_at_point=m0,
-        amp_at_point=float(u0.values[j]),
-        extreme=m0,
-        margin=_relative_margin(threshold, m0),
-        t_bound=omega_bound(delta, big_k, m0),
-    )
-
-
-def two_sided_certificate(delta: float, forcing: float, energy: float, point: float,
-                          slope: float, amp: float):
-    """(g0, t_bound, location, speed) where the two-sided criterion holds at point;
-    the last three are None when g0 misses the comparison lemma's threshold."""
-    spread = slope * slope - amp * amp
-    if spread <= 0.0:
-        # impossible when the condition truly holds; guards float noise
-        raise NumericsError(f"two-sided condition held at x = {point:.6g} but the slope "
-                            "does not dominate the amplitude there")
-    g0 = math.sqrt(spread)
-    t_bound = two_sided_bound(delta, forcing, g0)
-    if t_bound is None:
-        return g0, None, None, None
-    speed = math.sqrt(energy / 2.0)
-    return g0, t_bound, (point - speed * t_bound, point + speed * t_bound), speed
+    return _assess("slope_only", delta, energy, float(u0.grid.x[j]),
+                   float(ux.values[j]), float(u0.values[j]))
 
 
 def check_criterion2(u0: Field, delta: float, point: float | None = None) -> CriterionReport:
@@ -114,42 +120,13 @@ def check_criterion2(u0: Field, delta: float, point: float | None = None) -> Cri
     the breaking location.
     """
     energy = h1_norm_sq(u0)
-    big_k = forcing_constant(energy)
-    threshold = slope_threshold(delta, big_k)
     ux = deriv(u0)
     if point is None:
-        w = ux.values + np.abs(u0.values)
-        j = int(np.argmin(w))
-        point = float(u0.grid.x[j])
-        slope = float(ux.values[j])
-        amp = float(u0.values[j])
-    else:
-        point = float(point)
-        slope = interp(ux, point)
-        amp = interp(u0, point)
-    extreme = slope + abs(amp)
-    satisfied = extreme < threshold
-    g0 = t_bound = location = speed = None
-    if satisfied:
-        g0, t_bound, location, speed = two_sided_certificate(
-            delta, big_k, energy, point, slope, amp)
-    return CriterionReport(
-        kind="mixed",
-        satisfied=satisfied,
-        delta=delta,
-        energy=energy,
-        forcing_bound=big_k,
-        threshold=threshold,
-        point=point,
-        slope_at_point=slope,
-        amp_at_point=amp,
-        extreme=extreme,
-        margin=_relative_margin(threshold, extreme),
-        t_bound=t_bound,
-        g0=g0,
-        location=location,
-        speed_bound=speed,
-    )
+        j = int(np.argmin(ux.values + np.abs(u0.values)))
+        return _assess("mixed", delta, energy, float(u0.grid.x[j]),
+                       float(ux.values[j]), float(u0.values[j]))
+    point = float(point)
+    return _assess("mixed", delta, energy, point, interp(ux, point), interp(u0, point))
 
 
 def _slope_min_and_forcing(u: Field) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .grid import (
     check_edge_decay,
     from_spectrum,
 )
+
+if TYPE_CHECKING:
+    from .criteria import BreakingSearchResult
 
 DATUM_FAMILIES = ("gaussian_derivative", "sech_squared", "antisym_peak", "samples")
 PROFILE_KINDS = ("constant", "linear_ramp", "sinusoidal", "piecewise")
@@ -46,7 +49,7 @@ class DissipationProfile:
 
     delta_sup must dominate lambda on the horizon of interest; the blow-up
     criteria are stated in terms of this ceiling, so it is supplied rather
-    than estimated.
+    than estimated. Every value is checked once, on construction.
     """
 
     kind: str
@@ -54,6 +57,19 @@ class DissipationProfile:
     delta_sup: float
     knot_times: tuple[float, ...] = ()
     knot_values: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        ts, vs = self.knot_times, self.knot_values
+        if not all(math.isfinite(v) for v in (*self.params, self.delta_sup, *ts, *vs)):
+            raise ConfigError(f"{self.kind} profile values and delta_sup must be finite")
+        if self.kind == "sinusoidal" and self.params[2] == 0.0:
+            raise ConfigError("sinusoidal profile needs omega != 0")
+        if self.kind == "piecewise":
+            if len(ts) != len(vs) or len(ts) < 2:
+                raise ConfigError(
+                    "piecewise profile needs matching times/values, at least two knots")
+            if any(b <= a for a, b in zip(ts, ts[1:])):
+                raise ConfigError("piecewise profile times must be strictly increasing")
 
     @classmethod
     def constant(cls, value: float, delta_sup: float | None = None) -> "DissipationProfile":
@@ -68,23 +84,16 @@ class DissipationProfile:
     @classmethod
     def sinusoidal(cls, offset: float, amplitude: float, omega: float,
                    delta_sup: float | None = None) -> "DissipationProfile":
-        if omega == 0.0:
-            raise ConfigError("sinusoidal profile needs omega != 0")
         if delta_sup is None:
             delta_sup = offset + abs(amplitude)
         return cls("sinusoidal", (float(offset), float(amplitude), float(omega)), float(delta_sup))
 
     @classmethod
     def piecewise(cls, times, values, delta_sup: float | None = None) -> "DissipationProfile":
-        ts = tuple(float(t) for t in times)
         vs = tuple(float(v) for v in values)
-        if len(ts) != len(vs) or len(ts) < 2:
-            raise ConfigError("piecewise profile needs matching times/values, at least two knots")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ConfigError("piecewise profile times must be strictly increasing")
         if delta_sup is None:
-            delta_sup = max(vs)
-        return cls("piecewise", (), float(delta_sup), ts, vs)
+            delta_sup = max(vs, default=0.0)   # no knots fails the knot check
+        return cls("piecewise", (), float(delta_sup), tuple(float(t) for t in times), vs)
 
     def rate(self, t: float) -> float:
         """lambda(t). Piecewise profiles are linear between knots and held
@@ -186,6 +195,9 @@ class InitialDatum:
     def __post_init__(self) -> None:
         if self.family not in DATUM_FAMILIES:
             raise ConfigError(f"unknown datum family {self.family!r}")
+        if not all(math.isfinite(v) for v in (self.amplitude, self.width, self.center,
+                                               *self.values)):
+            raise ConfigError("datum amplitude, width, center and values must be finite")
         if self.family != "samples" and self.width <= 0.0:
             raise ConfigError("datum width must be positive")
 
@@ -351,38 +363,21 @@ def slope_rhs(u: Field, t: float, profile: DissipationProfile) -> Field:
 # Supercritical datum search
 
 
-@dataclass(frozen=True)
-class BreakingSearchResult:
-    datum: InitialDatum
-    criterion: str
-    delta: float
-    point: float          # x1 for the mixed criterion, slope argmin otherwise
-    extreme: float        # min slope, or min of (slope + |u0|) for mixed
-    threshold: float      # -(delta + sqrt(delta^2 + 2K))
-    margin: float         # (threshold - extreme) / |threshold|
-    energy: float
-    forcing_bound: float  # K
-    t_bound: float | None = None                  # certified breaking-time bound
-    g0: float | None = None                       # mixed only
-    location: tuple[float, float] | None = None   # mixed only
-
-
-def _mixed_extreme(datum: InitialDatum) -> tuple[float, float]:
-    """Dense-sample argmin of u0' + |u0| over the datum's support."""
+def _mixed_extreme(datum: InitialDatum) -> tuple[float, float, float]:
+    """(x1, u0'(x1), u0(x1)) at the dense-sample argmin of u0' + |u0| over
+    the datum's support."""
     r = datum.reach()
     xs = np.linspace(datum.center - r, datum.center + r, MIXED_SAMPLE_INTERVALS + 1)
-    w = datum.derivative(xs) + np.abs(datum.evaluate(xs))
-    j = int(np.argmin(w))
-    x1, val = float(xs[j]), float(w[j])
+    du, u = datum.derivative(xs), datum.evaluate(xs)
+    j = int(np.argmin(du + np.abs(u)))
     # odd profiles pin the minimum to the center kink; snap when adjacent
-    if datum.family in ("gaussian_derivative", "antisym_peak"):
-        if abs(x1 - datum.center) <= (xs[1] - xs[0]) * 1.5:
-            x_c = datum.center
-            val_c = float(datum.derivative(np.array([x_c]))[0]
-                          + abs(datum.evaluate(np.array([x_c]))[0]))
-            if val_c <= val + 1e-12:
-                return x_c, val_c
-    return x1, val
+    if (datum.family in ("gaussian_derivative", "antisym_peak")
+            and abs(xs[j] - datum.center) <= (xs[1] - xs[0]) * 1.5):
+        at_c = np.array([datum.center])
+        du_c, u_c = float(datum.derivative(at_c)[0]), float(datum.evaluate(at_c)[0])
+        if du_c + abs(u_c) <= du[j] + abs(u[j]) + 1e-12:
+            return datum.center, du_c, u_c
+    return float(xs[j]), float(du[j]), float(u[j])
 
 
 def find_breaking_datum(
@@ -399,11 +394,11 @@ def find_breaking_datum(
 
     Widths are scanned geometrically from wide to narrow; narrowing lowers
     the energy (hence the threshold) faster than it costs slope, so the
-    first hit is the widest, best-resolved qualifying datum. Raises
-    SearchError when no width in the range reaches the requested margin.
+    first hit is the widest, best-resolved qualifying datum. The result is
+    the criterion's report on the line profile. Raises SearchError when no
+    width in the range reaches the requested margin.
     """
-    from .criteria import forcing_constant, slope_threshold, two_sided_certificate
-    from .riccati import omega_bound
+    from .criteria import BreakingSearchResult, _assess
 
     if criterion not in ("slope_only", "mixed"):
         raise ConfigError(f"unknown criterion {criterion!r}")
@@ -412,34 +407,19 @@ def find_breaking_datum(
     lo, hi = width_range
     if not (0.0 < lo < hi):
         raise ConfigError("width_range must satisfy 0 < lo < hi")
-    widths = np.geomspace(hi, lo, n_scan)
     best_fail = None
-    for w in widths:
+    for w in np.geomspace(hi, lo, n_scan):
         datum = InitialDatum(family, amplitude=amplitude, width=float(w), center=center)
-        energy = datum.energy()
-        big_k = forcing_constant(energy)
-        threshold = slope_threshold(delta, big_k)
         if criterion == "slope_only":
-            point, extreme = datum.analytic_min_slope()
+            point, slope = datum.analytic_min_slope()
+            amp = float(datum.evaluate(np.array([point]))[0])
         else:
-            point, extreme = _mixed_extreme(datum)
-        got = (threshold - extreme) / abs(threshold)
-        if got >= margin:
-            g0 = location = None
-            if criterion == "slope_only":
-                t_bound = omega_bound(delta, big_k, extreme)
-            else:
-                g0, t_bound, location, _ = two_sided_certificate(
-                    delta, big_k, energy, point,
-                    float(datum.derivative(np.array([point]))[0]),
-                    float(datum.evaluate(np.array([point]))[0]))
-            return BreakingSearchResult(
-                datum=datum, criterion=criterion, delta=delta, point=point,
-                extreme=extreme, threshold=threshold, margin=got,
-                energy=energy, forcing_bound=big_k,
-                t_bound=t_bound, g0=g0, location=location)
-        if best_fail is None or got > best_fail:
-            best_fail = got
+            point, slope, amp = _mixed_extreme(datum)
+        report = _assess(criterion, delta, datum.energy(), point, slope, amp)
+        if report.margin >= margin:
+            return BreakingSearchResult(**vars(report), datum=datum)
+        if best_fail is None or report.margin > best_fail:
+            best_fail = report.margin
     raise SearchError(
         f"no {family} width in [{lo:g}, {hi:g}] meets the {criterion} criterion "
         f"at delta={delta:g}, amplitude={amplitude:g} "

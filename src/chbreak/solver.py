@@ -171,13 +171,12 @@ def _measure(u: Field) -> tuple[float, int, float]:
     return float(ux.values[j]), j, h1_norm_sq(u)
 
 
-def run(cfg: SolverConfig, sink=None, state_sink=None) -> RunOutcome:
+def run(cfg: SolverConfig, sink=None) -> RunOutcome:
     """Integrate to the horizon or through certified breaking.
 
-    sink, when given, receives each DiagnosticsRecord as it is produced.
-    state_sink additionally receives (record, field) pairs; the field is the
-    live state at the record's time, or None once the run has switched to
-    the frozen-field continuation.
+    sink, when given, is called as sink(record, live) for each
+    DiagnosticsRecord as it is produced; live is the state at the record's
+    time, or None once the run has switched to the frozen-field continuation.
     """
     profile = cfg.profile
     profile.validate_horizon(cfg.t_end)
@@ -197,9 +196,7 @@ def run(cfg: SolverConfig, sink=None, state_sink=None) -> RunOutcome:
         rec = _record(t, energy, m, x_at, sup, dt, profile)
         records.append(rec)
         if sink is not None:
-            sink(rec)
-        if state_sink is not None:
-            state_sink(rec, live)
+            sink(rec, live)
 
     def emit_live(state, m, j, energy) -> None:
         emit(state.t, energy, m, float(cfg.grid.x[j]), state.u.max_abs, state.last_dt, state.u)

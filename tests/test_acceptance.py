@@ -91,7 +91,7 @@ def _audited_run(cfg: RunConfig):
     delta = profile.delta_sup
     audit = EnvelopeAudit()
 
-    def state_sink(rec, live):
+    def sink(rec, live):
         if math.isnan(audit.k0):
             audit.k0 = forcing_constant(rec.energy)
         if live is None:
@@ -110,7 +110,7 @@ def _audited_run(cfg: RunConfig):
     # the frozen slope ODE runs past the stop threshold by design; its
     # overflow to -inf on the last track samples is expected
     with np.errstate(over="ignore", invalid="ignore"):
-        outcome = run(cfg, state_sink=state_sink)
+        outcome = run(cfg, sink=sink)
     return outcome, audit
 
 

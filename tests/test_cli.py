@@ -440,6 +440,57 @@ class TestBadInputExitsTwo:
                      "--rising0", "1", "--falling0", "1", "--t-max", "1e7"]) == 2
         assert "rising0 > 0 > falling0" in _one_error_line(capsys)
 
+    @pytest.mark.parametrize("flag", ["--delta", "--forcing", "--omega0", "--rising0",
+                                      "--falling0"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_riccati_non_finite_value(self, capsys, flag, value):
+        argv = {"--forcing": ["riccati"]}.get(flag, ["riccati", "--forcing", "2"])
+        assert main(argv + [f"{flag}={value}"]) == 2
+        assert f"{flag} must be finite" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("dissipation", [
+        "kind = sinusoidal\noffset = 0.2\namplitude = 0.1\nomega = nan",
+        "kind = sinusoidal\noffset = 0.2\namplitude = 0.1\nomega = inf",
+        "kind = constant\nvalue = 0.2\ndelta_sup = nan",
+        "kind = constant\nvalue = nan",
+        "kind = constant\nvalue = inf",
+    ])
+    def test_non_finite_dissipation_value(self, tmp_path, capsys, dissipation):
+        path = tmp_path / "bad.ini"
+        path.write_text(SMOOTH.replace("kind = constant\nvalue = 0.2", dissipation))
+        assert main(["simulate", str(path)]) == 2
+        assert "must be finite" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("entry,value", [
+        ("amplitude", "nan"), ("amplitude", "inf"), ("width", "nan"),
+        ("center", "nan"), ("center", "-inf")])
+    def test_non_finite_datum_value(self, tmp_path, capsys, entry, value):
+        datum = {"amplitude": "0.4", "width": "1.0", "center": "0.0", entry: value}
+        path = tmp_path / "bad.ini"
+        path.write_text(SMOOTH.replace("amplitude = 0.4\nwidth = 1.0\n",
+                                       "".join(f"{k} = {v}\n" for k, v in datum.items())))
+        assert main(["simulate", str(path)]) == 2
+        assert "must be finite" in _one_error_line(capsys)
+
+    def test_non_finite_sample_value(self, tmp_path, capsys):
+        values = ", ".join(["0.0"] * 511 + ["nan"])
+        path = tmp_path / "bad.ini"
+        path.write_text(SMOOTH.replace(
+            "family = sech_squared\namplitude = 0.4\nwidth = 1.0",
+            f"family = samples\nvalues = {values}"))
+        assert main(["simulate", str(path)]) == 2
+        assert "must be finite" in _one_error_line(capsys)
+
+    def test_sweep_cell_with_non_finite_width_is_an_error_row(self, smooth_cfg, tmp_path,
+                                                                capsys):
+        dest = tmp_path / "sweep.csv"
+        assert main(["sweep", smooth_cfg, "--amplitudes", "0.3", "--widths", "1.0 nan",
+                     "--workers", "1", "--csv", str(dest)]) == 3
+        rows = [dict(zip(SWEEP_COLUMNS, row)) for row in _read_csv(dest)[1:]]
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"].startswith("error: ") and "finite" in rows[1]["status"]
+        assert "2 cells, 1 failed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("t_max", ["inf", "nan", "0", "-1"])
     def test_riccati_horizon_out_of_range(self, capsys, t_max):
         assert main(["riccati", "--forcing", "2", "--omega0", "0", f"--t-max={t_max}"]) == 2

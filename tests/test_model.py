@@ -1,5 +1,6 @@
 """Dissipation profiles, initial data, evolution operators, datum search."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 
 from chbreak import (
     ConfigError,
+    CriterionReport,
     DissipationProfile,
     EdgeDecayError,
     Field,
@@ -29,6 +31,7 @@ from chbreak import (
     slope_rhs,
     slope_threshold,
 )
+from chbreak.criteria import _assess
 from chbreak.model import _nonlinear_spectra
 
 GRID = Grid(30.0, 1024)
@@ -83,6 +86,21 @@ class TestDissipationProfile:
         with pytest.raises(ConfigError):
             DissipationProfile.sinusoidal(0.2, 0.3, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected_on_construction(self, bad):
+        makers = [
+            lambda: DissipationProfile.constant(bad),
+            lambda: DissipationProfile.constant(0.1, delta_sup=bad),
+            lambda: DissipationProfile.linear_ramp(0.0, bad, 1.0),
+            lambda: DissipationProfile.sinusoidal(0.2, 0.1, bad),
+            lambda: DissipationProfile.piecewise((0.0, bad), (0.1, 0.2)),
+            lambda: DissipationProfile.piecewise((0.0, 1.0), (0.1, bad), delta_sup=0.5),
+            lambda: DissipationProfile("constant", (0.1,), bad),
+        ]
+        for make in makers:
+            with pytest.raises(ConfigError, match="finite"):
+                make()
+
     def test_validate_horizon(self):
         p = DissipationProfile.linear_ramp(0.0, 1.0, delta_sup=0.5)
         p.validate_horizon(0.5)
@@ -132,6 +150,16 @@ def _sech_energy(a, w):
 
 
 class TestInitialDatum:
+    @pytest.mark.parametrize("field", ["amplitude", "width", "center"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            InitialDatum("sech_squared", **{"amplitude": 1.0, "width": 1.0, field: bad})
+
+    def test_non_finite_sample_is_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            InitialDatum("samples", values=(0.0, math.nan, 0.0))
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             InitialDatum("square_well", amplitude=1.0)
@@ -373,7 +401,7 @@ class TestFindBreakingDatum:
     def test_slope_only_postconditions(self):
         res = find_breaking_datum("gaussian_derivative", delta=0.1,
                                   criterion="slope_only", amplitude=2.0)
-        assert res.criterion == "slope_only"
+        assert res.kind == "slope_only"
         assert res.margin >= 0.10
         d = res.datum
         assert d.family == "gaussian_derivative"
@@ -386,6 +414,25 @@ class TestFindBreakingDatum:
         assert res.extreme == m_star
         assert res.t_bound is not None and 0.0 < res.t_bound < math.inf
         assert res.g0 is None and res.location is None
+
+    @pytest.mark.parametrize("criterion", ["slope_only", "mixed"])
+    @pytest.mark.parametrize("family,delta,amplitude", [
+        ("gaussian_derivative", 0.1, 2.0), ("antisym_peak", 0.0, 1.0)])
+    def test_result_is_the_report_on_the_line_datum(self, family, delta, amplitude,
+                                                      criterion):
+        # the search and the grid checks share one verdict: the result is
+        # _assess on the chosen line profile, field for field and bit for bit
+        res = find_breaking_datum(family, delta, criterion, amplitude=amplitude)
+        assert isinstance(res, CriterionReport)
+        names = [f.name for f in dataclasses.fields(res)]
+        assert names == [f.name for f in dataclasses.fields(CriterionReport)] + ["datum"]
+        d = res.datum
+        at = np.array([res.point])
+        want = _assess(criterion, delta, d.energy(), res.point,
+                       float(d.derivative(at)[0]), float(d.evaluate(at)[0]))
+        got = {name: getattr(res, name) for name in names if name != "datum"}
+        assert got == dataclasses.asdict(want)
+        assert res.satisfied and res.t_bound is not None
 
     def test_widest_qualifying_width(self):
         # the scan runs wide to narrow, so any wider member of the family
@@ -401,7 +448,7 @@ class TestFindBreakingDatum:
     def test_mixed_postconditions(self):
         res = find_breaking_datum("gaussian_derivative", delta=0.1,
                                   criterion="mixed", amplitude=2.0)
-        assert res.criterion == "mixed"
+        assert res.kind == "mixed"
         assert res.margin >= 0.10
         assert res.g0 is not None and res.g0 > 0.0
         assert res.t_bound is not None and res.t_bound > 0.0

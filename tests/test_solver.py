@@ -208,7 +208,7 @@ class TestRun:
 
     def test_sink_parity(self):
         seen = []
-        out = run(_cfg(t_end=0.5), sink=seen.append)
+        out = run(_cfg(t_end=0.5), sink=lambda rec, _live: seen.append(rec))
         assert seen == out.records
 
     def test_determinism(self):
@@ -258,7 +258,7 @@ class TestBreakingRun:
             profile=DissipationProfile.constant(0.0),
             t_end=4.0)
         pairs = []
-        out = run(cfg, state_sink=lambda rec, live: pairs.append((rec, live)))
+        out = run(cfg, sink=lambda rec, live: pairs.append((rec, live)))
         assert [p[0] for p in pairs] == out.records
         for rec, live in pairs:
             if rec.t <= out.t_switch:
