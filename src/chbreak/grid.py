@@ -17,7 +17,7 @@ energy identity that rests on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -356,21 +356,37 @@ def _phases(theta: np.ndarray, count: int) -> np.ndarray:
     return (coarse[:, :, None] * fine[:, None, :]).reshape(theta.size, -1)[:, :count]
 
 
+def _phase_rows(half_length: float, pts: np.ndarray, count: int) -> np.ndarray:
+    """_phases at points of [-half_length, half_length), one row per point."""
+    return _phases((pts + half_length) * (np.pi / half_length), count)
+
+
+@lru_cache(maxsize=1)
+def _point_phases(half_length: float, count: int, point: float) -> np.ndarray:
+    """_phase_rows of one point, read-only."""
+    row = _phase_rows(half_length, np.array([point]), count)
+    row.flags.writeable = False
+    return row
+
+
 def interp(f: Field, points) -> np.ndarray | float:
     """Evaluate the trigonometric interpolant at arbitrary points.
 
     Scalar in, scalar out; array in, array out. Spectrally accurate for
     band-limited fields and exact at the nodes. The field's spectrum comes
     from its cache (Field.weighted_spectrum), so repeated calls on one field
-    transform it once; the phases come from _phases.
+    transform it once. The phases cost more than the sum, and callers read
+    several fields at one point in turn (seven per track sample, two per
+    frozen RK4 stage), so a scalar point reuses the previous scalar call's
+    phase row when L, N and the point match; arrays build theirs each call.
     """
-    scalar = np.isscalar(points)
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
     grid = f.grid
     coeffs = f.weighted_spectrum
-    theta = (pts + grid.half_length) * (np.pi / grid.half_length)
-    vals = (_phases(theta, coeffs.size) @ coeffs).real / grid.n_points
-    return float(vals[0]) if scalar else vals
+    if np.isscalar(points):
+        row = _point_phases(grid.half_length, coeffs.size, float(points))
+        return float((row @ coeffs).real[0] / grid.n_points)
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    return (_phase_rows(grid.half_length, pts, coeffs.size) @ coeffs).real / grid.n_points
 
 
 def h1_norm_sq(f: Field) -> float:

@@ -407,6 +407,11 @@ def find_breaking_datum(
     lo, hi = width_range
     if not (0.0 < lo < hi):
         raise ConfigError("width_range must satisfy 0 < lo < hi")
+    if not (math.isfinite(delta) and 0.0 < margin < math.inf):
+        raise ConfigError("delta must be finite and margin positive and finite, "
+                          f"got delta={delta}, margin={margin}")
+    if criterion == "slope_only" and not amplitude > 0.0:
+        raise ConfigError(f"the slope-only search needs amplitude > 0, got {amplitude}")
     best_fail = None
     for w in np.geomspace(hi, lo, n_scan):
         datum = InitialDatum(family, amplitude=amplitude, width=float(w), center=center)

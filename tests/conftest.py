@@ -22,3 +22,22 @@ def fft_lengths(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", rfft)
     monkeypatch.setattr(np.fft, "irfft", irfft)
     return lengths
+
+
+@pytest.fixture
+def phase_builds(monkeypatch):
+    """phase_builds(action) calls action and returns how many times it called
+    chbreak.grid._phases, starting from an empty interp phase-row cache."""
+    from chbreak import grid
+    calls = []
+    real_phases = grid._phases
+    monkeypatch.setattr(grid, "_phases",
+                        lambda theta, count: calls.append(1) or real_phases(theta, count))
+
+    def count(action):
+        grid._point_phases.cache_clear()
+        calls.clear()
+        action()
+        return len(calls)
+
+    return count

@@ -19,7 +19,8 @@ from chbreak import (
     run,
     start_track,
 )
-from chbreak.characteristics import advance_frozen
+from chbreak import characteristics
+from chbreak.characteristics import advance, advance_frozen
 from chbreak.diagnostics import geometric_mean
 from chbreak.grid import deriv, second_deriv
 from chbreak.model import rhs, slope_rhs
@@ -55,6 +56,15 @@ def breaking_run():
     out = run(cfg)
     assert out.kind == "breaking_detected"
     return out
+
+
+def _count_interps(monkeypatch):
+    """Record the point of every interp call the characteristics module makes."""
+    points = []
+    real_interp = characteristics.interp
+    monkeypatch.setattr(characteristics, "interp",
+                        lambda f, q: points.append(float(q)) or real_interp(f, q))
+    return points
 
 
 class TestBasicTransport:
@@ -115,6 +125,18 @@ class TestBasicTransport:
         fft_lengths.clear()
         build_aux(u, 0.4, SMOOTH_PROFILE, 1e-8)
         assert len(fft_lengths) == 18
+
+    def test_advance_builds_three_phase_rows_for_nine_interps(self, phase_builds,
+                                                               monkeypatch):
+        # the old position, the predictor, then seven fields at the new one
+        grid = Grid(30.0, 1024)
+        u = make_datum(SMOOTH_DATUM, grid)
+        before = build_aux(u, 0.0, SMOOTH_PROFILE, 1e-8)
+        after = build_aux(u, 0.01, SMOOTH_PROFILE, 1e-8)
+        tr = start_track(0.5, before)
+        points = _count_interps(monkeypatch)
+        assert phase_builds(lambda: advance(tr, before, after)) == 3
+        assert len(points) == 9 and len(set(points)) == 3
 
 
 class TestConvergence:
@@ -224,3 +246,15 @@ class TestFrozenAdvance:
         assert tr.u_vals[-1] == 0.0
         assert math.isnan(tr.rhs_ux_alt[-1])    # no spectral route while frozen
         assert tr.rhs_ux[-1] == pytest.approx(-0.5 * w_exact * w_exact, rel=1e-12)
+
+    def test_builds_five_phase_rows_for_ten_interps(self, phase_builds, monkeypatch):
+        # drift and forcing share each RK4 stage's point, then the new one
+        grid = Grid(30.0, 1024)
+        drift = Field(grid, np.exp(-grid.x ** 2))
+        forcing = Field(grid, -np.exp(-(grid.x - 0.5) ** 2))
+        tr = start_track(0.3, build_aux(make_datum(SMOOTH_DATUM, grid), 0.0,
+                                        SMOOTH_PROFILE, 1e-8))
+        points = _count_interps(monkeypatch)
+        assert phase_builds(lambda: advance_frozen(tr, 0.0, 0.01, drift, forcing,
+                                                   SMOOTH_PROFILE)) == 5
+        assert len(points) == 10 and len(set(points)) == 5

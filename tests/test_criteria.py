@@ -27,6 +27,7 @@ from chbreak import (
     slope_threshold,
     step,
 )
+from chbreak import criteria
 
 GRID = Grid(30.0, 1024)
 FINE = Grid(30.0, 4096)   # the supercritical search picks narrow widths
@@ -145,6 +146,16 @@ class TestCriterion2:
         assert pinned.satisfied
         assert pinned.extreme == pytest.approx(auto.extreme, abs=1e-9)
         assert pinned.t_bound == pytest.approx(auto.t_bound, rel=1e-9)
+
+    def test_explicit_point_builds_one_phase_row(self, phase_builds, monkeypatch):
+        # slope and amplitude are read at one point, so they share its phases
+        u = _field(InitialDatum("gaussian_derivative", amplitude=2.0, width=0.5))
+        points = []
+        real_interp = criteria.interp
+        monkeypatch.setattr(criteria, "interp",
+                            lambda f, q: points.append(q) or real_interp(f, q))
+        assert phase_builds(lambda: check_criterion2(u, 0.1, point=0.2)) == 1
+        assert points == [0.2, 0.2]
 
     def test_subcritical_datum(self):
         rep = check_criterion2(

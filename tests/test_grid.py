@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chbreak import (
+    DissipationProfile,
     EdgeDecayError,
     Field,
     Grid,
+    InitialDatum,
+    SolverConfig,
     band_limit,
     check_edge_decay,
     conv_P_minus,
@@ -25,11 +28,12 @@ from chbreak import (
     h1_norm_sq,
     helmholtz_inverse,
     interp,
+    run,
     second_deriv,
     smoothed_edge_decay,
     tail_fraction,
 )
-from chbreak.grid import _exp_moments, _phases, from_spectrum
+from chbreak.grid import _exp_moments, _phases, _point_phases, from_spectrum
 from chbreak.model import _nonlinear_spectra
 
 L = 30.0
@@ -350,6 +354,54 @@ class TestInterpSpectrumCache:
         direct = (np.exp(1j * theta * np.arange(coeffs.size)) @ coeffs).real / g.n_points
         bound = PHASE_TOL * np.sum(np.abs(coeffs)) / g.n_points
         assert np.max(np.abs(interp(u, pts) - direct)) < bound
+
+    def test_scalar_point_matches_the_array_route_bit_for_bit(self):
+        g = Grid(L, 2048)
+        u, v = _band_noise(g, seed=12), _band_noise(g, seed=13)
+        for q in (0.0, -7.25, 3.1e-3, g.x[100], np.float64(12.5)):
+            _point_phases.cache_clear()
+            fresh = interp(u, q)
+            cached_same_field = interp(u, q)
+            cached_other_field = interp(v, q)
+            assert fresh == cached_same_field == interp(u, np.array([q]))[0]
+            assert cached_other_field == interp(v, np.array([q]))[0]
+        # a 0-d array takes the array route and keeps its shape
+        assert interp(u, np.array(0.5)).shape == (1,)
+
+    @pytest.mark.parametrize("other", [Grid(20.0, 1024), Grid(L, 512), Grid(20.0, 512)],
+                             ids=["other_L", "other_N", "other_L_and_N"])
+    def test_grids_queried_in_turn_get_their_own_phases(self, other):
+        g = Grid(L, 1024)
+        u, w = _band_noise(g, seed=14), _band_noise(other, seed=15)
+        q = 1.7
+        expect_u = interp(u, np.array([q]))[0]
+        expect_w = interp(w, np.array([q]))[0]
+        for _ in range(2):
+            assert interp(u, q) == expect_u
+            assert interp(w, q) == expect_w
+
+    def test_cached_row_is_read_only(self):
+        g = Grid(L, 256)
+        interp(_band_noise(g), 0.4)
+        hits = _point_phases.cache_info().hits
+        row = _point_phases(g.half_length, g.n_points // 2 + 1, 0.4)
+        assert _point_phases.cache_info().hits == hits + 1
+        with pytest.raises(ValueError):
+            row[0, 0] = 0.0
+
+    def test_runs_on_other_grids_between_leave_tracks_unchanged(self):
+        def tracks(grid):
+            cfg = SolverConfig(
+                grid=grid,
+                datum=InitialDatum("gaussian_derivative", amplitude=0.8, width=1.3,
+                                   center=0.7),
+                profile=DissipationProfile.constant(0.1), t_end=0.2,
+                seeds=(0.5, -1.0, 0.5))
+            return repr(run(cfg).tracks)
+
+        first = tracks(Grid(L, 512))
+        tracks(Grid(25.0, 256))
+        assert tracks(Grid(L, 512)) == first
 
     def test_values_are_read_only(self):
         g = Grid(L, 256)

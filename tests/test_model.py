@@ -471,3 +471,20 @@ class TestFindBreakingDatum:
             find_breaking_datum(family="samples")
         with pytest.raises(ConfigError):
             find_breaking_datum(width_range=(1.0, 0.5))
+
+    @pytest.mark.parametrize("amplitude", [-1.0, 0.0])
+    def test_slope_only_needs_a_positive_amplitude(self, amplitude):
+        # the closed-form slope minimum exists only for amplitude > 0
+        with pytest.raises(ConfigError, match="amplitude > 0"):
+            find_breaking_datum(criterion="slope_only", amplitude=amplitude)
+
+    @pytest.mark.parametrize("margin", [-0.5, 0.0, math.nan, math.inf])
+    def test_margin_must_be_positive_and_finite(self, margin):
+        # margin <= 0 would accept the first width even where the criterion fails
+        with pytest.raises(ConfigError, match="margin"):
+            find_breaking_datum(criterion="mixed", delta=0.1, margin=margin)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_delta_must_be_finite(self, delta):
+        with pytest.raises(ConfigError, match="delta"):
+            find_breaking_datum(delta=delta)
