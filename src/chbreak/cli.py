@@ -17,10 +17,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import json
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +42,10 @@ from .svg import Series, write_line_chart
 CSV_COLUMNS = ("t", "E", "m", "x_argmin", "sup_abs_u", "dt", "lambda_int")
 # run outcomes that make simulate, or a sweep cell, fail
 FAILED_OUTCOMES = ("dt_underflow", "edge_decay_lost")
+# glibc mallopt parameters (malloc.h) and the values main() sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20   # glibc's ceiling on 64-bit hosts
+_TRIM_THRESHOLD = 64 << 20
 
 
 def _jsonable(obj):
@@ -393,7 +399,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_arrays_on_the_heap() -> bool:
+    """Stop glibc from handing the heap top back to the OS after every call.
+
+    At N = 16384 each real array and each rfft spectrum is about 128 KiB,
+    glibc's default mmap threshold, and one kernel call keeps about 1.5 MB of
+    them alive. glibc's dynamic rule then leaves the trim threshold near
+    264 KiB, so the heap shrinks after each call and the next call faults it
+    back in. Fixing both thresholds (setting either one switches the dynamic
+    rule off) keeps those pages. Only main() calls this: the CLI owns its
+    process, sweep's forked workers inherit the setting, and library calls
+    leave the allocator alone. Returns whether both settings took effect.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1,
+                mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1])
+
+
 def main(argv=None) -> int:
+    _keep_arrays_on_the_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

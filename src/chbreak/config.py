@@ -184,10 +184,15 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text") from None
     return parse_config(text, path)
 
 

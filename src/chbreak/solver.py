@@ -93,6 +93,8 @@ class SolverConfig:
             raise ValueError("tail_tol must be > 0")
         if not self.edge_tol > 0.0:
             raise ValueError("edge_tol must be > 0")
+        if not all(map(math.isfinite, self.seeds)):
+            raise ValueError("seeds must be finite")
 
     def with_refinement(self, factor: int = 2) -> SolverConfig:
         """Same run with factor times the grid points. Every other value, the

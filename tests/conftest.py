@@ -3,6 +3,16 @@
 import numpy as np
 import pytest
 
+from chbreak.cli import _keep_arrays_on_the_heap
+
+
+@pytest.fixture(scope="session", autouse=True)
+def arrays_stay_on_the_heap():
+    """Apply the allocator setting chbreak.cli.main makes, so that tests that
+    call the library at N = 16384 do not fault their arrays in at every step
+    (this changes no number)."""
+    _keep_arrays_on_the_heap()
+
 
 @pytest.fixture
 def fft_lengths(monkeypatch):

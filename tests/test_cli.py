@@ -1,9 +1,11 @@
 """End-to-end command line checks, run in process through main()."""
 
 import csv
+import ctypes
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -496,6 +498,21 @@ class TestBadInputExitsTwo:
         assert main(["riccati", "--forcing", "2", "--omega0", "0", f"--t-max={t_max}"]) == 2
         assert "--t-max" in _one_error_line(capsys)
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[grid]\nhalf_length = 30\xff\n")
+        assert main(["simulate", str(path)]) == 2
+        assert f"error: {path}:2: not UTF-8 text" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("seeds", ["nan", "0.1, inf"])
+    def test_non_finite_seed(self, tmp_path, capsys, seeds):
+        path = tmp_path / "bad.ini"
+        path.write_text(SMOOTH + f"\n[characteristics]\nseeds = {seeds}\n")
+        summary = tmp_path / "summary.json"
+        assert main(["simulate", str(path), "--summary-json", str(summary)]) == 2
+        assert f"error: {path}: seeds must be finite" in _one_error_line(capsys)
+        assert not summary.exists()
+
 
 def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal is slow to import and only the track kernels need it
@@ -503,6 +520,43 @@ def test_import_leaves_scipy_signal_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.stdout.strip() == "False"
+
+
+# One warm-up call, then 8 timed rhs calls on an N = 16384 datum. Without the
+# allocator setting each call faults its arrays back in: about 2,560 minor
+# faults for the 8 calls.
+_RHS_FAULTS = """\
+import resource
+from chbreak.cli import main
+from chbreak.grid import Grid
+from chbreak.model import DissipationProfile, InitialDatum, make_datum, rhs
+main(["version"])
+u = make_datum(InitialDatum("gaussian_derivative", amplitude=2.0, width=0.1),
+               Grid(30.0, 16384))
+profile = DissipationProfile.constant(0.1)
+rhs(u, 0.0, profile)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(8):
+    rhs(u, 0.0, profile)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the setting is glibc's")
+def test_main_keeps_large_arrays_on_the_heap():
+    # a child process, so that no fixture of this session has applied the setting
+    proc = subprocess.run([sys.executable, "-c", _RHS_FAULTS], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert int(proc.stdout.split()[-1]) <= 32
+
+
+def test_allocator_left_alone_off_glibc(monkeypatch):
+    def no_library(*args):
+        raise AssertionError("mallopt looked up off glibc")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda *args: ("musl", "1.2"))
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert chbreak.cli._keep_arrays_on_the_heap() is False
 
 
 def test_version(capsys):

@@ -93,6 +93,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             _cfg(**{field: value})
 
+    @pytest.mark.parametrize("seeds", [(math.nan,), (0.1, math.inf)])
+    def test_non_finite_seeds(self, seeds):
+        # a NaN seed would give a track whose seed, position and slope are all null
+        with pytest.raises(ValueError, match="seeds must be finite"):
+            _cfg(seeds=seeds)
+        _cfg(seeds=(0.1, -2.0))
+
 
 class TestStep:
     def test_zero_state_stays_zero(self):
