@@ -101,19 +101,25 @@ class Grid:
         return 1.0 / (1.0 + k * k)
 
     @cached_property
-    def _conv_weights(self) -> tuple[np.ndarray, np.ndarray, float]:
+    def _conv_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact-exponential cell weights for the one-sided convolutions.
 
-        Returns (w_right, w_left, decay): w_right integrates a cell against
+        Returns (w_right, w_left): w_right integrates a cell against
         e^(-(h-s)) (evaluation at the right node), w_left against e^(-s),
         with the integrand's cubic interpolant through the cell's node and
-        its three neighbours; decay = e^(-dx) is the per-cell damping of the
-        marching recurrence.
+        its three neighbours.
         """
         h = self.dx
         w_right = h * np.exp(-h) * (_LAGRANGE @ _exp_moments(h))
         w_left = h * (_LAGRANGE @ _exp_moments(-h))
-        return w_right, w_left, float(np.exp(-h))
+        return w_right, w_left
+
+    @cached_property
+    def _march_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """e^(j dx) and e^(-j dx) over one chunk of _exp_march (a span of at
+        most 300), the second one entry longer: it ends in the carry's decay."""
+        j = self.dx * np.arange(min(self.n_points, int(300.0 / self.dx) + 1) + 1)
+        return np.exp(j[:-1]), np.exp(-j)
 
     def __str__(self) -> str:
         return f"Grid(L={self.half_length:g}, N={self.n_points})"
@@ -291,17 +297,27 @@ def smoothed_edge_decay(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> bool:
     return _edges_negligible(f.smoothed_values, edge_tol)
 
 
+def _exp_march(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """I_j = e^(-dx) I_(j-1) + c_j from I_(-1) = 0, as e^(-j dx) sum_(i<=j) e^(i dx) c_i
+    over chunks short enough for e^(j dx) to stay finite, each going on from the last."""
+    grow, shrink = grid._march_tables
+    out = np.zeros(c.size)
+    for start in range(0, c.size, grow.size):
+        part = c[start:start + grow.size] * grow[:c.size - start]
+        part[0] += shrink[1] * out[start - 1]   # out[-1] is still 0 on the first chunk
+        out[start:start + part.size] = np.cumsum(part) * shrink[:part.size]
+    return out
+
+
 def _one_sided_march(f: Field, edge_tol: float, left_weights: bool,
                      name: str) -> np.ndarray:
     """Running integrals of a one-sided kernel, marched over the cells from
     its open end, after checking its preconditions (finite input, edge
     decay)."""
-    from scipy.signal import lfilter   # slow to import; only these kernels use it
-
     _require_finite(f.values, f"{name} input")
     if not smoothed_edge_decay(f, edge_tol):
         raise EdgeDecayError(f"{name}: field does not decay at the domain edges")
-    w_right, w_left, decay = f.grid._conv_weights
+    w_right, w_left = f.grid._conv_weights
     w = w_left if left_weights else w_right
     v = f.values
     # cell j spans [x_j, x_{j+1}); its cubic uses nodes j-1..j+2 with
@@ -313,7 +329,7 @@ def _one_sided_march(f: Field, edge_tol: float, left_weights: bool,
         + w[3] * np.roll(v, -2)
     )
     order = -1 if left_weights else 1
-    return lfilter([1.0], [1.0, -decay], cells[::order])[::order]
+    return _exp_march(f.grid, cells[::order])[::order]
 
 
 def conv_P_plus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:

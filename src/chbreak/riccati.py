@@ -12,7 +12,9 @@ the certified upper bounds that runs are checked against.
 
 from __future__ import annotations
 
+import cmath
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +119,7 @@ def two_sided_bound(delta: float, forcing: float, g0: float) -> float | None:
 
 
 def rk4(fun, t, y, dt):
-    """One classical RK4 step of y' = fun(t, y) for a float, ndarray or Field y."""
+    """One classical RK4 step of y' = fun(t, y) for a float, complex, ndarray or Field y."""
     k1 = fun(t, y)
     k2 = fun(t + 0.5 * dt, y + 0.5 * dt * k1)
     k3 = fun(t + 0.5 * dt, y + 0.5 * dt * k2)
@@ -129,34 +131,34 @@ def _march(fun, y0, t_max):
     """RK4 from t = 0 with steps STEP_SCALE / max(1, |y|), |y| the largest
     component, until t_max, |y| >= DIVERGENCE or a non-finite step.
 
-    Both comparison problems are autonomous, so once a step returns its
-    input exactly every later step of that size would too: the march stops
-    there and extends the last value to t_max. A march that would take more
-    than MAX_STEPS steps raises NumericsError.
+    y is a float, or a complex number whose real and imaginary parts are the
+    two components of a pair: rk4 then needs no array per stage. Both
+    comparison problems are autonomous, so once a step returns its input
+    exactly every later step of that size would too: the march stops there
+    and extends the last value to t_max. A march that would take more than
+    MAX_STEPS steps raises NumericsError.
 
-    Returns the sample times, the samples and whether |y| diverged.
+    Returns the times, the samples' real and imaginary parts, and whether |y| diverged.
     """
-    ts, ys = [0.0], [y0]
+    ts, ys = array("d", [0.0]), array("d", [y0.real, y0.imag])
     t, y = 0.0, y0
-    size = float(np.abs(y0).max())
+    size = max(abs(y0.real), abs(y0.imag))
     while t < t_max and size < DIVERGENCE:
         if len(ts) > MAX_STEPS:
             raise NumericsError(f"comparison march passed {MAX_STEPS} steps at "
                                 f"t={t:.6g} of t_max={t_max:.6g}")
         dt = min(STEP_SCALE / max(1.0, size), t_max - t)
         y_next = rk4(fun, t, y, dt)
-        size_next = float(np.abs(y_next).max())
-        if size_next == size and np.array_equal(y_next, y):
+        if y_next == y:
             ts.append(t_max)
-            ys.append(y)
+            ys.extend((y.real, y.imag))
             break
-        if not math.isfinite(size_next):
+        if not cmath.isfinite(y_next):
             break
-        t, y, size = t + dt, y_next, size_next
+        t, y, size = t + dt, y_next, max(abs(y_next.real), abs(y_next.imag))
         ts.append(t)
-        ys.append(y)
-    ys_arr = np.array(ys)
-    return np.array(ts), ys_arr, bool(np.max(np.abs(ys_arr[-1])) >= DIVERGENCE)
+        ys.extend((y.real, y.imag))
+    return np.array(ts), np.array(ys).reshape(-1, 2).T, size >= DIVERGENCE
 
 
 def solve_omega(
@@ -174,7 +176,7 @@ def solve_omega(
     past the blow-up cutoff).
     """
     fun = lambda _t, y: -delta * y - 0.5 * y * y + forcing
-    ts_arr, ys_arr, blew = _march(fun, float(omega0), t_max)
+    ts_arr, (ys_arr, _), blew = _march(fun, float(omega0), t_max)
     fit = reciprocal_blowup_fit(ts_arr, ys_arr) if blew else None
     req_v = None
     if sample_times is not None:
@@ -212,17 +214,12 @@ def solve_coupled(
         raise ConfigError(f"the coupled pair needs rising0 > 0 > falling0, "
                           f"got {rising0!r} and {falling0!r}")
 
-    def fun(_t, state):
-        r, f = state
-        return np.array([
-            -0.5 * r * (f + 2.0 * delta) - forcing,
-            0.5 * f * (r + 2.0 * delta) + forcing,
-        ])
+    def fun(_t, y):
+        r, f = y.real, y.imag
+        return complex(-0.5 * r * (f + 2.0 * delta) - forcing,
+                       0.5 * f * (r + 2.0 * delta) + forcing)
 
-    start = np.array([float(rising0), float(falling0)])
-    ts_arr, arr, blew = _march(fun, start, t_max)
-    rising = arr[:, 0]
-    falling = arr[:, 1]
+    ts_arr, (rising, falling), blew = _march(fun, complex(rising0, falling0), t_max)
     fit = reciprocal_blowup_fit(ts_arr, falling) if blew else None
     g_margin = _g_inequality_margin(ts_arr, rising, falling, delta, forcing)
     return CoupledTrajectory(ts_arr, rising, falling, blew, fit, g_margin)

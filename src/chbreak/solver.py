@@ -93,8 +93,9 @@ class SolverConfig:
             raise ValueError("tail_tol must be > 0")
         if not self.edge_tol > 0.0:
             raise ValueError("edge_tol must be > 0")
-        if not all(map(math.isfinite, self.seeds)):
-            raise ValueError("seeds must be finite")
+        if not all(-self.grid.half_length <= s < self.grid.half_length for s in self.seeds):
+            raise ValueError(f"seeds must be finite and lie in [-L, L), "
+                             f"L = {self.grid.half_length:g}")
 
     def with_refinement(self, factor: int = 2) -> SolverConfig:
         """Same run with factor times the grid points. Every other value, the

@@ -185,6 +185,14 @@ class TestSimulate:
             assert tr["n_samples"] > 0
             assert not tr["edge_contaminated"]
 
+    def test_seed_at_the_left_end_is_inside(self, tmp_path):
+        p = tmp_path / "seeded.ini"
+        p.write_text(SMOOTH + "\n[characteristics]\nseeds = -30.0\n")
+        summary = tmp_path / "summary.json"
+        assert main(["simulate", str(p), "--summary-json", str(summary)]) == 0
+        with open(summary) as fh:
+            assert [tr["seed"] for tr in json.load(fh)["tracks"]] == [-30.0]
+
     def test_run_failure_exit_code(self, tmp_path, capsys):
         p = tmp_path / "edge.ini"
         p.write_text(EDGE_LOSS)
@@ -513,6 +521,21 @@ class TestBadInputExitsTwo:
         assert f"error: {path}: seeds must be finite" in _one_error_line(capsys)
         assert not summary.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("seed", ["100.0", "-30.000001", "30.0"])
+    def test_seed_outside_the_domain(self, tmp_path, capsys, command, seed):
+        # [-L, L) is half-open: x = L is the node x = -L again
+        path = tmp_path / "bad.ini"
+        path.write_text(SMOOTH + f"\n[characteristics]\nseeds = 0.0, {seed}\n")
+        out = tmp_path / "out"
+        argv = {"simulate": ["simulate", str(path), "--summary-json", str(out)],
+                "sweep": ["sweep", str(path), "--amplitudes", "0.3", "--widths", "1.0",
+                          "--workers", "1", "--csv", str(out)]}[command]
+        assert main(argv) == 2
+        err = _one_error_line(capsys)
+        assert f"error: {path}: seeds must be finite and lie in [-L, L), L = 30" in err
+        assert not out.exists()
+
 
 def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal is slow to import and only the track kernels need it
@@ -520,6 +543,18 @@ def test_import_leaves_scipy_signal_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.stdout.strip() == "False"
+
+
+def test_seeded_simulate_loads_no_scipy(tmp_path):
+    # the track kernels march in numpy; scipy is a test dependency only
+    path = tmp_path / "seeded.ini"
+    path.write_text(SMOOTH + "\n[characteristics]\nseeds = -0.5, 0.0, 0.5\n")
+    code = ("import sys; from chbreak.cli import main\n"
+            f"assert main(['simulate', {str(path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 # One warm-up call, then 8 timed rhs calls on an N = 16384 datum. Without the

@@ -33,7 +33,7 @@ from chbreak import (
     smoothed_edge_decay,
     tail_fraction,
 )
-from chbreak.grid import _exp_moments, _phases, _point_phases, from_spectrum
+from chbreak.grid import _exp_march, _exp_moments, _phases, _point_phases, from_spectrum
 from chbreak.model import _nonlinear_spectra
 
 L = 30.0
@@ -219,6 +219,25 @@ class TestOneSidedKernels:
                 ref, _ = quad(lambda t: t ** p * math.exp(z * t), 0.0, 1.0,
                               epsabs=1e-15)
                 assert mom[p] == pytest.approx(ref, abs=1e-14)
+
+
+class TestExpMarch:
+    # the numpy march against scipy's direct-form filter for the same
+    # recurrence, relative to the largest reference value
+    @pytest.mark.parametrize("half_length,n,chunks", [
+        (30.0, 8192, 1), (30.0, 16384, 1),
+        (300.0, 4096, 2),              # the one chunk boundary is mid-array
+        (400.0, 4096, 3), (400.0, 16384, 3),   # e^(2L) overflows: chunks needed
+        (3000.0, 16, 16),              # dx > 300: one node per chunk
+    ])
+    def test_matches_lfilter(self, half_length, n, chunks):
+        from scipy.signal import lfilter
+
+        g = Grid(half_length, n)
+        assert -(-n // g._march_tables[0].size) == chunks
+        c = np.random.default_rng(5).standard_normal(n)
+        ref = lfilter([1.0], [1.0, -math.exp(-g.dx)], c)
+        assert np.max(np.abs(_exp_march(g, c) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _kernel_values(u, name):

@@ -13,9 +13,31 @@ from chbreak import (
     solve_omega,
     two_sided_bound,
 )
+from chbreak.riccati import DIVERGENCE, STEP_SCALE, rk4
 
 LOG3 = 1.0986122886681098
 HALF_LOG3 = 0.5493061443340549
+
+
+def _ndarray_march(fun, y0, t_max):
+    """The comparison march with the state as an ndarray and every RK4 stage
+    through rk4: the reference that solve_omega and solve_coupled must
+    reproduce bit for bit."""
+    ts, ys = [0.0], [np.array(y0, dtype=float)]
+    t, y = 0.0, ys[0]
+    while t < t_max and np.abs(y).max() < DIVERGENCE:
+        dt = min(STEP_SCALE / max(1.0, np.abs(y).max()), t_max - t)
+        y_next = rk4(fun, t, y, dt)
+        if np.array_equal(y_next, y):
+            ts.append(t_max)
+            ys.append(y)
+            break
+        if not np.all(np.isfinite(y_next)):
+            break
+        t, y = t + dt, y_next
+        ts.append(t)
+        ys.append(y)
+    return np.array(ts), np.array(ys)
 
 
 class TestOmegaBound:
@@ -140,6 +162,15 @@ class TestSolveOmega:
         assert traj.values[-1] == traj.values[-2] == pytest.approx(2.0, abs=1e-12)
         assert np.all(np.diff(traj.ts) > 0.0)
 
+    @pytest.mark.parametrize("delta,forcing,omega0,t_max", [
+        (0.1, 1.0, -3.0, 20.0), (0.2, 1.0, 0.0, 20.0), (0.0, 2.0, 0.0, 1e7)])
+    def test_matches_the_ndarray_march_bit_for_bit(self, delta, forcing, omega0, t_max):
+        fun = lambda _t, y: -delta * y - 0.5 * y * y + forcing
+        ts, ys = _ndarray_march(fun, [omega0], t_max)
+        traj = solve_omega(delta, forcing, omega0, t_max=t_max)
+        assert np.array_equal(traj.ts, ts)
+        assert np.array_equal(traj.values, ys[:, 0])
+
     def test_sampling_past_blowup_is_nan(self):
         traj = solve_omega(0.0, 0.0, -1.0, sample_times=[0.0, 1.0, 1.9, 5.0])
         vals = traj.requested_values
@@ -150,6 +181,24 @@ class TestSolveOmega:
 
 
 class TestSolveCoupled:
+    @pytest.mark.parametrize("delta,forcing,rising0,falling0,t_max", [
+        (0.1, 1.0, 3.0, -3.0, 20.0),     # supercritical: diverges
+        (0.5, 0.1, 0.2, -0.2, 3.0),      # runs to t_max
+        (0.0, 0.0, 1e-3, -1e-3, 50.0),   # slow growth, |y| < 1 throughout
+    ])
+    def test_matches_the_ndarray_march_bit_for_bit(self, delta, forcing, rising0,
+                                                   falling0, t_max):
+        def fun(_t, state):
+            r, f = state
+            return np.array([-0.5 * r * (f + 2.0 * delta) - forcing,
+                             0.5 * f * (r + 2.0 * delta) + forcing])
+
+        ts, ys = _ndarray_march(fun, [rising0, falling0], t_max)
+        traj = solve_coupled(delta, forcing, rising0, falling0, t_max=t_max)
+        assert np.array_equal(traj.ts, ts)
+        assert np.array_equal(traj.rising, ys[:, 0])
+        assert np.array_equal(traj.falling, ys[:, 1])
+
     def test_supercritical_pair(self):
         delta, forcing = 0.1, 1.0
         traj = solve_coupled(delta, forcing, rising0=3.0, falling0=-3.0)
