@@ -138,37 +138,43 @@ def advance(track: CharacteristicTrack, aux_before: TrackAux, aux_after: TrackAu
 
 
 def advance_frozen(
-    track: CharacteristicTrack,
+    tracks: list[CharacteristicTrack],
     t_start: float,
     dt: float,
     drift: Field,
     forcing: Field,
     profile: DissipationProfile,
 ) -> None:
-    """One RK4 step of the closed track system against frozen fields.
+    """One RK4 step of the closed track system against frozen fields, for
+    every track at once.
 
     Past the resolvability horizon the Eulerian fields stop moving but each
     track still obeys its own proven ODEs: q' = v, v' = drift(q) - lambda v,
     w' = -w^2/2 + forcing(q) - lambda w, with drift = (P+ - P-) * F and
-    forcing = u^2 + h(u) - P * F evaluated at the freeze time.
+    forcing = u^2 + h(u) - P * F evaluated at the freeze time. The state is
+    one (q, v, w) row per track; the tracks share nothing but the phase
+    rows of each stage's points, so every row is what a step of its track
+    alone would give, bit for bit.
     """
     def f(t, state):
-        q, v, w = state
+        q, v, w = state.T
         lam = profile.rate(t)
-        return np.array([
+        return np.stack([
             v,
             interp(drift, q) - lam * v,
             -0.5 * w * w + interp(forcing, q) - lam * w,
-        ])
+        ], axis=1)
 
-    y = np.array([track.positions[-1], track.u_vals[-1], track.ux_vals[-1]])
-    q, v, w = rk4(f, t_start, y, dt)
+    y = np.array([[tr.positions[-1], tr.u_vals[-1], tr.ux_vals[-1]] for tr in tracks])
+    y = rk4(f, t_start, y, dt)
     t_new = t_start + dt
     lam = profile.rate(t_new)
+    q, v, w = y.T
     # the spectral route needs live fields; no second route while frozen
-    _append_sample(track, drift.grid, t_new, q, v, w,
-                   interp(drift, float(q)) - lam * v,
-                   -0.5 * w * w + interp(forcing, float(q)) - lam * w)
+    rhs_u = interp(drift, q) - lam * v
+    rhs_ux = -0.5 * w * w + interp(forcing, q) - lam * w
+    for i, track in enumerate(tracks):
+        _append_sample(track, drift.grid, t_new, q[i], v[i], w[i], rhs_u[i], rhs_ux[i])
 
 
 @dataclass(frozen=True)

@@ -378,11 +378,11 @@ def _phase_rows(half_length: float, pts: np.ndarray, count: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _point_phases(half_length: float, count: int, point: float) -> np.ndarray:
-    """_phase_rows of one point, read-only."""
-    row = _phase_rows(half_length, np.array([point]), count)
-    row.flags.writeable = False
-    return row
+def _point_phases(half_length: float, count: int, points: tuple[float, ...]) -> np.ndarray:
+    """_phase_rows of a tuple of points, read-only."""
+    rows = _phase_rows(half_length, np.array(points), count)
+    rows.flags.writeable = False
+    return rows
 
 
 def interp(f: Field, points) -> np.ndarray | float:
@@ -392,20 +392,26 @@ def interp(f: Field, points) -> np.ndarray | float:
     band-limited fields and exact at the nodes. The field's spectrum comes
     from its cache (Field.weighted_spectrum), so repeated calls on one field
     transform it once. The phases cost more than the sum, and callers read
-    several fields at one point in turn (seven per track sample, two per
-    frozen RK4 stage), so a scalar point reuses the previous scalar call's
-    phase row when L, N and the point match; arrays build theirs each call.
+    several fields at the same points in turn (seven per track sample, two
+    per frozen RK4 stage), so a call reuses the previous call's phase rows
+    when L, N and the points match. Each point's row is summed on its own,
+    so a point's value does not depend on which other points came with it.
     """
     grid = f.grid
     coeffs = f.weighted_spectrum
-    if np.isscalar(points):
-        row = _point_phases(grid.half_length, coeffs.size, float(points))
-        return float((row @ coeffs).real[0] / grid.n_points)
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    return (_phase_rows(grid.half_length, pts, coeffs.size) @ coeffs).real / grid.n_points
+    scalar = np.isscalar(points)
+    key = (float(points),) if scalar else tuple(np.ravel(np.asarray(points, dtype=float)).tolist())
+    rows = _point_phases(grid.half_length, coeffs.size, key)
+    if scalar:
+        return float((rows @ coeffs).real[0] / grid.n_points)
+    return np.array([(rows[i:i + 1] @ coeffs).real[0] / grid.n_points for i in range(len(key))])
 
 
-def h1_norm_sq(f: Field) -> float:
-    """Squared H^1 norm: integral of f^2 + (f')^2 by the (exact) node rule."""
-    fx = deriv(f)
+def h1_norm_sq(f: Field, fx: Field | None = None) -> float:
+    """Squared H^1 norm: integral of f^2 + (f')^2 by the (exact) node rule.
+
+    fx, when given, is deriv(f) already computed; otherwise it is taken here.
+    """
+    if fx is None:
+        fx = deriv(f)
     return float(f.grid.dx * np.sum(f.values * f.values + fx.values * fx.values))

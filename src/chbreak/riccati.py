@@ -118,9 +118,14 @@ def two_sided_bound(delta: float, forcing: float, g0: float) -> float | None:
     return chen_bound(0.5, drain, f0)
 
 
-def rk4(fun, t, y, dt):
-    """One classical RK4 step of y' = fun(t, y) for a float, complex, ndarray or Field y."""
-    k1 = fun(t, y)
+def rk4(fun, t, y, dt, k1=None):
+    """One classical RK4 step of y' = fun(t, y) for a float, complex, ndarray or Field y.
+
+    k1, when given, is fun(t, y) already evaluated; the first stage then
+    makes no call.
+    """
+    if k1 is None:
+        k1 = fun(t, y)
     k2 = fun(t + 0.5 * dt, y + 0.5 * dt * k1)
     k3 = fun(t + 0.5 * dt, y + 0.5 * dt * k2)
     k4 = fun(t + dt, y + dt * k3)

@@ -21,7 +21,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characteristics import CharacteristicTrack, advance, advance_frozen, build_aux, start_track
+from .characteristics import (
+    CharacteristicTrack,
+    TrackAux,
+    advance,
+    advance_frozen,
+    build_aux,
+    start_track,
+)
 from .criteria import forcing_constant, slope_threshold
 from .diagnostics import DiagnosticsRecord
 from .errors import EdgeDecayError, NumericsError
@@ -130,22 +137,29 @@ class RunOutcome:
     config: SolverConfig | None = None
 
 
-def _rk4(u: Field, t: float, dt: float, profile: DissipationProfile) -> Field:
-    return rk4(lambda s, v: rhs(v, s, profile), t, u, dt)
+def _rk4(u: Field, t: float, dt: float, profile: DissipationProfile,
+         k1: Field | None = None) -> Field:
+    return rk4(lambda s, v: rhs(v, s, profile), t, u, dt, k1)
 
 
-def step(state: SolverState, cfg: SolverConfig) -> SolverState:
+def step(state: SolverState, cfg: SolverConfig, aux: TrackAux | None = None) -> SolverState:
     """One accepted RK4 step.
 
     dt = min(cfl dx / max(1, sup|u|), slope_factor / max(1, |m|), horizon).
     A step producing non-finite values is rejected and retried at dt/2;
     underflow past dt_min raises NumericsError.
+
+    aux, when given, is build_aux of this state at its time. Its ux gives m
+    and its rhs_field is RK4's first stage, for every try at this state:
+    both equal what the step would compute, bit for bit, so the step returns
+    the same state without its own deriv and first rhs.
     """
     u = state.u
     halvings = state.halvings
     grid = u.grid
     sup = u.max_abs
-    m = float(np.min(deriv(u).values))
+    ux, k1 = (deriv(u), None) if aux is None else (aux.ux, aux.rhs_field)
+    m = float(np.min(ux.values))
     dt = min(
         cfg.cfl_factor * grid.dx / max(1.0, sup),
         cfg.slope_dt_factor / max(1.0, abs(m)),
@@ -154,7 +168,7 @@ def step(state: SolverState, cfg: SolverConfig) -> SolverState:
     while True:
         if dt < cfg.dt_min:
             raise NumericsError(f"time step underflow at t={state.t:.6g}")
-        candidate = _rk4(u, state.t, dt, cfg.profile)
+        candidate = _rk4(u, state.t, dt, cfg.profile, k1)
         if np.all(np.isfinite(candidate.values)):
             return SolverState(state.t + dt, candidate, state.step_index + 1, dt, halvings)
         dt *= 0.5
@@ -167,11 +181,17 @@ def _record(state_t, energy, m, x_at, sup, dt, profile) -> DiagnosticsRecord:
         sup_abs=sup, dt=dt, lam_integral=profile.integral(state_t))
 
 
-def _measure(u: Field) -> tuple[float, int, float]:
-    """(minimum slope, its grid index, H^1 energy) of a live state."""
-    ux = deriv(u)
+def _measure(u: Field, aux: TrackAux | None = None) -> tuple[float, int, float]:
+    """(minimum slope, its grid index, H^1 energy) of a live state.
+
+    aux, when given, is build_aux of u: its ux is deriv(u) bit for bit, so
+    the numbers are the same. Without one, h1_norm_sq still takes its own
+    deriv, so the untracked live step keeps its pinned transform count
+    (ROADMAP item 1).
+    """
+    ux = deriv(u) if aux is None else aux.ux
     j = int(np.argmin(ux.values))
-    return float(ux.values[j]), j, h1_norm_sq(u)
+    return float(ux.values[j]), j, h1_norm_sq(u, None if aux is None else ux)
 
 
 def run(cfg: SolverConfig, sink=None) -> RunOutcome:
@@ -184,13 +204,13 @@ def run(cfg: SolverConfig, sink=None) -> RunOutcome:
     profile = cfg.profile
     profile.validate_horizon(cfg.t_end)
     u = make_datum(cfg.datum, cfg.grid, cfg.edge_tol)
-    m, j, energy = _measure(u)
     records: list[DiagnosticsRecord] = []
     tracks: list[CharacteristicTrack] = []
-    aux = None
+    aux = None   # build_aux of the current state, in a run with tracks
     if cfg.seeds:
         aux = build_aux(u, 0.0, profile, cfg.edge_tol)
         tracks = [start_track(s, aux) for s in cfg.seeds]
+    m, j, energy = _measure(u, aux)
     outcome = RunOutcome(
         kind="reached_horizon", t_final=0.0, records=records, tracks=tracks,
         energy0=energy, dissipative=profile.is_dissipative(cfg.t_end), config=cfg)
@@ -209,12 +229,12 @@ def run(cfg: SolverConfig, sink=None) -> RunOutcome:
     stop = None
     while stop is None and state.t < cfg.t_end * (1.0 - 1e-14):
         try:
-            state = step(state, cfg)
+            state = step(state, cfg, aux)
         except NumericsError:
             stop = "dt_underflow"
             break
         u = state.u
-        m, j, energy = _measure(u)
+        aux_new = None
         if not smoothed_edge_decay(u, cfg.edge_tol):
             stop = "edge_decay_lost"
         elif tracks:
@@ -227,7 +247,8 @@ def run(cfg: SolverConfig, sink=None) -> RunOutcome:
             else:
                 for tr in tracks:
                     advance(tr, aux, aux_new)
-                aux = aux_new
+        aux = aux_new
+        m, j, energy = _measure(u, aux)
         if stop is None and m <= cfg.breaking_threshold:
             stop = "breaking_detected"
         if stop is None and tail_fraction(u) > cfg.tail_tol:
@@ -289,8 +310,8 @@ def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, emit, state: Solv
         # front location rides the frozen velocity field
         v_xi = interp(u_frozen, xi)
         xi = xi + dt * 0.5 * (v_xi + interp(u_frozen, xi + dt * v_xi))
-        for tr in outcome.tracks:
-            advance_frozen(tr, t, dt, drift, b_field, profile)
+        if outcome.tracks:
+            advance_frozen(outcome.tracks, t, dt, drift, b_field, profile)
         t += dt
         step_index += 1
         law_energy = math.exp(-2.0 * (profile.integral(t) - lam_int_sw)) * energy_sw

@@ -59,11 +59,13 @@ def breaking_run():
 
 
 def _count_interps(monkeypatch):
-    """Record the point of every interp call the characteristics module makes."""
+    """Record the points of every interp call the characteristics module
+    makes, as a tuple per call."""
     points = []
     real_interp = characteristics.interp
     monkeypatch.setattr(characteristics, "interp",
-                        lambda f, q: points.append(float(q)) or real_interp(f, q))
+                        lambda f, q: points.append(tuple(np.atleast_1d(q).tolist()))
+                        or real_interp(f, q))
     return points
 
 
@@ -239,7 +241,7 @@ class TestFrozenAdvance:
         tr.rhs_u_alt, tr.rhs_ux_alt = [0.0], [0.0]
         tr.reliable = [True]
         dt = 1e-3
-        advance_frozen(tr, 0.0, dt, drift=zero, forcing=zero, profile=prof)
+        advance_frozen([tr], 0.0, dt, drift=zero, forcing=zero, profile=prof)
         w_exact = -3.0 / (1.0 - 1.5 * dt)
         assert tr.ux_vals[-1] == pytest.approx(w_exact, abs=1e-12)
         assert tr.positions[-1] == 0.0
@@ -248,13 +250,56 @@ class TestFrozenAdvance:
         assert tr.rhs_ux[-1] == pytest.approx(-0.5 * w_exact * w_exact, rel=1e-12)
 
     def test_builds_five_phase_rows_for_ten_interps(self, phase_builds, monkeypatch):
-        # drift and forcing share each RK4 stage's point, then the new one
-        grid = Grid(30.0, 1024)
-        drift = Field(grid, np.exp(-grid.x ** 2))
-        forcing = Field(grid, -np.exp(-(grid.x - 0.5) ** 2))
-        tr = start_track(0.3, build_aux(make_datum(SMOOTH_DATUM, grid), 0.0,
-                                        SMOOTH_PROFILE, 1e-8))
+        # drift and forcing share each RK4 stage's points, then the new ones;
+        # every call reads all three tracks at once
+        tracks = _frozen_tracks()
+        drift, forcing = _frozen_fields()
         points = _count_interps(monkeypatch)
-        assert phase_builds(lambda: advance_frozen(tr, 0.0, 0.01, drift, forcing,
+        assert phase_builds(lambda: advance_frozen(tracks, 0.0, 0.01, drift, forcing,
                                                    SMOOTH_PROFILE)) == 5
         assert len(points) == 10 and len(set(points)) == 5
+        assert all(len(p) == 3 for p in points)
+
+    def test_batch_matches_one_track_at_a_time_bit_for_bit(self):
+        tracks, reference = _frozen_tracks(), _frozen_tracks()
+        drift, forcing = _frozen_fields()
+        t, dt = 0.0, 0.01
+        for _ in range(4):
+            advance_frozen(tracks, t, dt, drift, forcing, SMOOTH_PROFILE)
+            for tr in reference:
+                _advance_frozen_alone(tr, t, dt, drift, forcing, SMOOTH_PROFILE)
+            t += dt
+        assert repr(tracks) == repr(reference)
+
+
+def _frozen_tracks():
+    grid = Grid(30.0, 1024)
+    aux = build_aux(make_datum(SMOOTH_DATUM, grid), 0.0, SMOOTH_PROFILE, 1e-8)
+    return [start_track(s, aux) for s in (0.3, -1.2, 2.5)]
+
+
+def _frozen_fields():
+    grid = Grid(30.0, 1024)
+    return Field(grid, np.exp(-grid.x ** 2)), Field(grid, -np.exp(-(grid.x - 0.5) ** 2))
+
+
+def _advance_frozen_alone(track, t_start, dt, drift, forcing, profile):
+    """The per-track frozen step advance_frozen made before it took a batch,
+    kept as the reference."""
+    def f(t, state):
+        q, v, w = state
+        lam = profile.rate(t)
+        return np.array([
+            v,
+            characteristics.interp(drift, q) - lam * v,
+            -0.5 * w * w + characteristics.interp(forcing, q) - lam * w,
+        ])
+
+    y = np.array([track.positions[-1], track.u_vals[-1], track.ux_vals[-1]])
+    q, v, w = characteristics.rk4(f, t_start, y, dt)
+    t_new = t_start + dt
+    lam = profile.rate(t_new)
+    characteristics._append_sample(
+        track, drift.grid, t_new, q, v, w,
+        characteristics.interp(drift, float(q)) - lam * v,
+        -0.5 * w * w + characteristics.interp(forcing, float(q)) - lam * w)

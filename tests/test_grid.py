@@ -399,11 +399,28 @@ class TestInterpSpectrumCache:
             assert interp(u, q) == expect_u
             assert interp(w, q) == expect_w
 
+    def test_points_array_matches_scalar_points_bit_for_bit(self, phase_builds):
+        g = Grid(L, 2048)
+        u, v = _band_noise(g, seed=16), _band_noise(g, seed=17)
+        pts = np.array([0.0, -7.25, 3.1e-3, g.x[100], 12.5, -L])
+        want_u = [interp(u, float(p)) for p in pts]
+        want_v = [interp(v, float(p)) for p in pts]
+
+        def read():
+            got_u, got_v = interp(u, pts), interp(v, pts)
+            assert got_u.tolist() == want_u and got_v.tolist() == want_v
+
+        # the second field reuses the first one's rows: one build for all points
+        assert phase_builds(read) == 1
+        hits = _point_phases.cache_info().hits
+        interp(u, pts.copy())
+        assert _point_phases.cache_info().hits == hits + 1
+
     def test_cached_row_is_read_only(self):
         g = Grid(L, 256)
         interp(_band_noise(g), 0.4)
         hits = _point_phases.cache_info().hits
-        row = _point_phases(g.half_length, g.n_points // 2 + 1, 0.4)
+        row = _point_phases(g.half_length, g.n_points // 2 + 1, (0.4,))
         assert _point_phases.cache_info().hits == hits + 1
         with pytest.raises(ValueError):
             row[0, 0] = 0.0

@@ -198,6 +198,19 @@ class TestInitialDatum:
         d = InitialDatum(family, amplitude=1.3, width=0.7)
         assert d.energy() == pytest.approx(closed(1.3, 0.7), rel=1e-9)
 
+    @pytest.mark.parametrize("family", ["gaussian_derivative", "sech_squared",
+                                        "antisym_peak"])
+    def test_energy_matches_the_dense_trapezoid(self, family):
+        # the 32,768-interval trapezoid over the datum's reach that energy()
+        # used before its closed forms, kept as the reference
+        for width in np.geomspace(1.0, 0.04, 12):
+            d = InitialDatum(family, amplitude=1.7, width=float(width), center=0.3)
+            r = d.reach()
+            xs = np.linspace(d.center - r, d.center + r, (1 << 15) + 1)
+            u, du = d.evaluate(xs), d.derivative(xs)
+            ref = float(np.trapezoid(u * u + du * du, xs))
+            assert d.energy() == pytest.approx(ref, rel=1e-13)
+
     def test_energy_antisym_against_quadrature(self):
         d = InitialDatum("antisym_peak", amplitude=0.9, width=1.2, center=0.5)
         ref, _ = quad(lambda x: d.evaluate(np.array([x]))[0] ** 2

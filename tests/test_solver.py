@@ -25,6 +25,7 @@ from chbreak import (
     step,
 )
 from chbreak import model, solver
+from chbreak.characteristics import build_aux
 
 GRID = Grid(30.0, 1024)
 SMOOTH = InitialDatum("gaussian_derivative", amplitude=0.3, width=1.3)
@@ -137,9 +138,9 @@ class TestStep:
         real = solver._rk4
         calls = []
 
-        def fails_once(u, t, dt, profile):
+        def fails_once(u, t, dt, profile, k1=None):
             calls.append(dt)
-            out = real(u, t, dt, profile)
+            out = real(u, t, dt, profile, k1)
             return out * math.nan if len(calls) == 1 else out
 
         monkeypatch.setattr(solver, "_rk4", fails_once)
@@ -159,6 +160,56 @@ class TestStep:
         e1 = np.max(np.abs(finals[0.3] - finals[0.15]))
         e2 = np.max(np.abs(finals[0.15] - finals[0.075]))
         assert math.log2(e1 / e2) > 3.7
+
+
+class TestTrackAuxReuse:
+    """A run with tracks hands each state's build_aux to the next step and to
+    the diagnostics instead of taking that kernel pass again."""
+
+    def _state_and_aux(self):
+        cfg = _cfg(profile=DissipationProfile.sinusoidal(0.2, 0.2, 1.5))
+        state = SolverState(0.3, make_datum(SMOOTH, GRID), step_index=4, halvings=1)
+        return cfg, state, build_aux(state.u, state.t, cfg.profile, cfg.edge_tol)
+
+    def test_step_with_aux_returns_the_same_state_bit_for_bit(self):
+        cfg, state, aux = self._state_and_aux()
+        plain, reused = step(state, cfg), step(state, cfg, aux)
+        assert np.array_equal(plain.u.values, reused.u.values)
+        assert (plain.t, plain.last_dt, plain.step_index, plain.halvings) == (
+            reused.t, reused.last_dt, reused.step_index, reused.halvings)
+
+    def test_step_makes_27_transforms_with_an_aux_and_38_without(self, fft_lengths):
+        # 4 rhs of 9 and the slope cap's deriv of 2; the aux stands in for
+        # the first rhs and the deriv
+        cfg, state, aux = self._state_and_aux()
+        fft_lengths.clear()
+        step(state, cfg)
+        assert len(fft_lengths) == 38
+        fft_lengths.clear()
+        step(state, cfg, aux)
+        assert len(fft_lengths) == 27
+
+    def test_a_halving_reuses_the_first_stage(self, monkeypatch):
+        cfg, state, aux = self._state_and_aux()
+        real = solver._rk4
+        first_stages = []
+
+        def fails_once(u, t, dt, profile, k1=None):
+            first_stages.append(k1)
+            out = real(u, t, dt, profile, k1)
+            return out * math.nan if len(first_stages) == 1 else out
+
+        monkeypatch.setattr(solver, "_rk4", fails_once)
+        assert step(state, cfg, aux).halvings == 2
+        assert len(first_stages) == 2
+        assert all(k1 is aux.rhs_field for k1 in first_stages)
+
+    def test_seeded_run_writes_the_unseeded_records(self, breaking_outcome):
+        # the tracks ride along; every record, live and continued, is the same
+        seeded = run(replace(breaking_outcome.config, seeds=(0.0, 0.3, -1.0)))
+        assert seeded.kind == breaking_outcome.kind
+        assert seeded.continued_steps > 0
+        assert repr(seeded.records) == repr(breaking_outcome.records)
 
 
 class TestRun:
