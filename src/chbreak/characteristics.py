@@ -55,13 +55,12 @@ def build_aux(u: Field, t: float, profile: DissipationProfile,
     flux = from_spectrum(grid, s.flux)
     plus = conv_P_plus(flux, edge_tol)
     minus = conv_P_minus(flux, edge_tol)
-    k = grid.wavenumbers
     return TrackAux(
         t=t,
         lam=lam,
         u=u,
         ux=from_spectrum(grid, s.ux),
-        uxx=from_spectrum(grid, s.u * -(k * k)),
+        uxx=from_spectrum(grid, s.u * grid.minus_k2),
         conv_sum=plus + minus,
         conv_diff=plus - minus,
         rhs_field=_rhs_from(u, s, lam),

@@ -96,6 +96,24 @@ class Grid:
         return self.n_points // 3
 
     @cached_property
+    def ik(self) -> np.ndarray:
+        """Symbol of d/dx, read-only. Its Nyquist entry is 0 so the
+        derivative matrix stays skew-symmetric, which the discrete energy
+        identity relies on."""
+        s = 1j * self.wavenumbers
+        s[-1] = 0.0
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def minus_k2(self) -> np.ndarray:
+        """Symbol of d^2/dx^2, read-only."""
+        k = self.wavenumbers
+        s = -(k * k)
+        s.flags.writeable = False
+        return s
+
+    @cached_property
     def helmholtz_multiplier(self) -> np.ndarray:
         k = self.wavenumbers
         return 1.0 / (1.0 + k * k)
@@ -204,23 +222,18 @@ def from_spectrum(grid: Grid, coeffs: np.ndarray) -> Field:
 
 
 def deriv(f: Field) -> Field:
-    """Spectral first derivative. Rejects non-finite input.
-
-    The Nyquist mode is zeroed so the derivative matrix stays skew-symmetric,
-    which the discrete energy identity relies on.
-    """
+    """Spectral first derivative, Nyquist mode zeroed (Grid.ik). Rejects
+    non-finite input."""
     _require_finite(f.values, "deriv input")
     coeffs = np.fft.rfft(f.values)
-    coeffs *= 1j * f.grid.wavenumbers
-    coeffs[-1] = 0.0
+    coeffs *= f.grid.ik
     return from_spectrum(f.grid, coeffs)
 
 
 def second_deriv(f: Field) -> Field:
     _require_finite(f.values, "second_deriv input")
     coeffs = np.fft.rfft(f.values)
-    k = f.grid.wavenumbers
-    coeffs *= -(k * k)
+    coeffs *= f.grid.minus_k2
     return from_spectrum(f.grid, coeffs)
 
 

@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 DATUM_FAMILIES = ("gaussian_derivative", "sech_squared", "antisym_peak", "samples")
 PROFILE_KINDS = ("constant", "linear_ramp", "sinusoidal", "piecewise")
 MIXED_SAMPLE_INTERVALS = 8192
+WIDTH_SCAN_POINTS = 96   # widths find_breaking_datum tries, geometrically spaced
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ class DissipationProfile:
 
     def rate(self, t: float) -> float:
         """lambda(t). Piecewise profiles are linear between knots and held
-        constant beyond them."""
+        at the first and last knot's value before and after them."""
         if self.kind == "constant":
             return self.params[0]
         if self.kind == "linear_ramp":
@@ -105,12 +106,7 @@ class DissipationProfile:
         if self.kind == "sinusoidal":
             offset, amp, omega = self.params
             return offset + amp * math.sin(omega * t)
-        ts, vs = self.knot_times, self.knot_values
-        if t <= ts[0]:
-            return vs[0]
-        if t >= ts[-1]:
-            return vs[-1]
-        return float(np.interp(t, ts, vs))
+        return float(np.interp(t, self.knot_times, self.knot_values))
 
     def integral(self, t: float) -> float:
         """int_0^t lambda, exact for every kind."""
@@ -122,33 +118,22 @@ class DissipationProfile:
         if self.kind == "sinusoidal":
             offset, amp, omega = self.params
             return offset * t + (amp / omega) * (1.0 - math.cos(omega * t))
-        return self._piecewise_integral(t)
+        # lambda is linear between breakpoints, so the trapezoid rule is exact
+        times = self._breakpoints(t)
+        return float(np.trapezoid(np.interp(times, self.knot_times, self.knot_values), times))
 
-    def _piecewise_integral(self, t: float) -> float:
-        ts, vs = np.asarray(self.knot_times), np.asarray(self.knot_values)
-        if t <= ts[0]:
-            return float(vs[0] * t)
-        total = float(vs[0] * ts[0])  # constant extension left of the table
-        upper = min(t, float(ts[-1]))
-        for a, b, va, vb in zip(ts[:-1], ts[1:], vs[:-1], vs[1:]):
-            if upper <= a:
-                break
-            end = min(b, upper)
-            vend = va + (vb - va) * (end - a) / (b - a)
-            total += 0.5 * (va + vend) * (end - a)
-        if t > ts[-1]:
-            total += float(vs[-1]) * (t - float(ts[-1]))
-        return total
+    def _breakpoints(self, t: float) -> list[float]:
+        """0, the knots strictly inside (0, t), and t, in order."""
+        return [0.0, *(k for k in self.knot_times if 0.0 < k < t), t]
 
     def _extremes(self, t_end: float) -> tuple[float, float]:
         """Exact (inf, sup) of lambda on [0, t_end].
 
         lambda is monotone between the candidates checked here: the
-        endpoints, the interior knots of a piecewise profile, and the crest
-        and trough phases of a sinusoid.
+        breakpoints (the endpoints and the interior knots of a piecewise
+        profile), and the crest and trough phases of a sinusoid.
         """
-        times = [0.0, t_end] + [t for t in self.knot_times if 0.0 < t < t_end]
-        values = [self.rate(t) for t in times]
+        values = [self.rate(t) for t in self._breakpoints(t_end)]
         if self.kind == "sinusoidal":
             offset, amp, omega = self.params
             lo, hi = sorted((0.0, omega * t_end))
@@ -299,15 +284,17 @@ class NonlinearSpectra(NamedTuple):
     slopesq: np.ndarray   # u_x^2
     local: np.ndarray     # u^2 + h(u)
     flux: np.ndarray      # F = u^2 + u_x^2/2 + h(u)
+    conv: np.ndarray      # P * F = (1 - d_xx)^(-1) F
+    drift: np.ndarray     # -(P * F)_x = (P+ - P-) * F
 
 
 def _nonlinear_spectra(grid: Grid, v: np.ndarray) -> NonlinearSpectra:
-    """The one place F and u^2 + h(u) are assembled, for a state vector: exact
-    Galerkin products on the N grid (grid module docstring), the cube as
-    P(P(u^2) u). The u and ux spectra are v's own, not projected."""
+    """The one place F, u^2 + h(u) and the kernel's action on F are
+    assembled, for a state vector: exact Galerkin products on the N grid
+    (grid module docstring), the cube as P(P(u^2) u). The u and ux spectra
+    are v's own, not projected."""
     u_hat = np.fft.rfft(v)
-    ux_hat = u_hat * (1j * grid.wavenumbers)
-    ux_hat[-1] = 0.0
+    ux_hat = u_hat * grid.ik
     u_band = band_values(grid, u_hat)
     ux_band = band_values(grid, ux_hat)
     sq = band_spectrum(grid, u_band * u_band)
@@ -315,15 +302,16 @@ def _nonlinear_spectra(grid: Grid, v: np.ndarray) -> NonlinearSpectra:
     advect = band_spectrum(grid, u_band * ux_band)
     cube = band_spectrum(grid, band_values(grid, sq) * u_band)
     local = cube - 0.5 * sq
-    return NonlinearSpectra(u_hat, ux_hat, advect, sq, slopesq, local, local + 0.5 * slopesq)
+    flux = local + 0.5 * slopesq
+    conv = flux * grid.helmholtz_multiplier
+    return NonlinearSpectra(u_hat, ux_hat, advect, sq, slopesq, local, flux, conv,
+                            -(conv * grid.ik))
 
 
 def _rhs_from(u: Field, s: NonlinearSpectra, lam: float) -> Field:
     """rhs of u from its kernel spectra s, at damping rate lam."""
     grid = u.grid
-    grad_conv = s.flux * grid.helmholtz_multiplier * (1j * grid.wavenumbers)
-    grad_conv[-1] = 0.0
-    out = np.fft.irfft(-s.advect - grad_conv, grid.n_points)
+    out = np.fft.irfft(s.drift - s.advect, grid.n_points)
     out -= lam * u.values
     return Field(grid, out)
 
@@ -333,9 +321,9 @@ def rhs(u: Field, t: float, profile: DissipationProfile) -> Field:
     return _rhs_from(u, _nonlinear_spectra(u.grid, u.values), profile.rate(t))
 
 
-def _bounded_forcing_hat(grid: Grid, s: NonlinearSpectra) -> np.ndarray:
+def _bounded_forcing_hat(s: NonlinearSpectra) -> np.ndarray:
     """Spectrum of bounded_forcing from the kernel spectra s of u."""
-    return s.local - s.flux * grid.helmholtz_multiplier
+    return s.local - s.conv
 
 
 def bounded_forcing(u: Field) -> Field:
@@ -345,15 +333,14 @@ def bounded_forcing(u: Field) -> Field:
     initial energy (|B| <= K) while the slope itself diverges.
     """
     grid = u.grid
-    return from_spectrum(grid, _bounded_forcing_hat(grid, _nonlinear_spectra(grid, u.values)))
+    return from_spectrum(grid, _bounded_forcing_hat(_nonlinear_spectra(grid, u.values)))
 
 
 def _slope_rhs_from(grid: Grid, s: NonlinearSpectra, lam: float) -> Field:
     """slope_rhs from the kernel spectra s of u, at damping rate lam."""
-    k = grid.wavenumbers
     bend_hat = band_spectrum(
-        grid, band_values(grid, s.u) * band_values(grid, -s.u * (k * k)))
-    out_hat = -0.5 * s.slopesq - bend_hat + _bounded_forcing_hat(grid, s) - lam * s.ux
+        grid, band_values(grid, s.u) * band_values(grid, s.u * grid.minus_k2))
+    out_hat = -0.5 * s.slopesq - bend_hat + _bounded_forcing_hat(s) - lam * s.ux
     return from_spectrum(grid, out_hat)
 
 
@@ -393,10 +380,8 @@ def find_breaking_datum(
     delta: float = 0.0,
     criterion: str = "slope_only",
     amplitude: float = 2.0,
-    center: float = 0.0,
     width_range: tuple[float, float] = (0.04, 1.0),
     margin: float = 0.10,
-    n_scan: int = 96,
 ) -> BreakingSearchResult:
     """Scan the family's width for a datum that satisfies a blow-up criterion.
 
@@ -421,8 +406,8 @@ def find_breaking_datum(
     if criterion == "slope_only" and not amplitude > 0.0:
         raise ConfigError(f"the slope-only search needs amplitude > 0, got {amplitude}")
     best_fail = None
-    for w in np.geomspace(hi, lo, n_scan):
-        datum = InitialDatum(family, amplitude=amplitude, width=float(w), center=center)
+    for w in np.geomspace(hi, lo, WIDTH_SCAN_POINTS):
+        datum = InitialDatum(family, amplitude=amplitude, width=float(w))
         if criterion == "slope_only":
             point, slope = datum.analytic_min_slope()
             amp = float(datum.evaluate(np.array([point]))[0])

@@ -100,9 +100,12 @@ class SolverConfig:
             raise ValueError("tail_tol must be > 0")
         if not self.edge_tol > 0.0:
             raise ValueError("edge_tol must be > 0")
-        if not all(-self.grid.half_length <= s < self.grid.half_length for s in self.seeds):
-            raise ValueError(f"seeds must be finite and lie in [-L, L), "
-                             f"L = {self.grid.half_length:g}")
+        half = self.grid.half_length
+        if not all(-half <= s < half for s in self.seeds):
+            raise ValueError(f"seeds must be finite and lie in [-L, L), L = {half:g}")
+        if not -half <= self.datum.center < half:
+            # a datum centred outside samples as zeros, which pass every edge check
+            raise ValueError(f"datum center must lie in [-L, L), L = {half:g}")
 
     def with_refinement(self, factor: int = 2) -> SolverConfig:
         """Same run with factor times the grid points. Every other value, the
@@ -289,10 +292,8 @@ def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, emit, state: Solv
     u_frozen = state.u
     grid = cfg.grid
     s = _nonlinear_spectra(grid, u_frozen.values)
-    b_field = from_spectrum(grid, _bounded_forcing_hat(grid, s))
-    drift_hat = -s.flux * grid.helmholtz_multiplier * (1j * grid.wavenumbers)
-    drift_hat[-1] = 0.0
-    drift = from_spectrum(grid, drift_hat)   # (P+ - P-) * F, spectral route
+    b_field = from_spectrum(grid, _bounded_forcing_hat(s))
+    drift = from_spectrum(grid, s.drift)   # (P+ - P-) * F, spectral route
     b_at_front = float(b_field.values[j])
     outcome.frozen_forcing = b_at_front
     xi = float(grid.x[j])

@@ -120,6 +120,20 @@ class TestSimulate:
         # wall time never lands in machine output
         assert "elapsed" not in summary.read_text()
 
+    def test_piecewise_lambda_integral_column_holds_numbers(self, tmp_path):
+        # lambda = 0.2 + t/10 on [-1, 1]: a knot before t = 0
+        p = tmp_path / "piecewise.ini"
+        p.write_text(SMOOTH.replace("kind = constant\nvalue = 0.2",
+                                    "kind = piecewise\ntimes = -1.0, 1.0\nvalues = 0.1, 0.3"))
+        records = tmp_path / "records.csv"
+        assert main(["simulate", str(p), "--records-csv", str(records)]) == 0
+        rows = _read_csv(records)
+        for row in rows[1:]:
+            assert all(math.isfinite(float(cell)) for cell in row), row
+        t, lam_int = float(rows[-1][0]), float(rows[-1][CSV_COLUMNS.index("lambda_int")])
+        assert t == pytest.approx(0.3)
+        assert lam_int == pytest.approx(0.2 * t + 0.05 * t * t, rel=1e-12)
+
     def test_step_counts_in_summary(self, tmp_path):
         p = tmp_path / "breaking.ini"
         p.write_text(BREAKING)
@@ -534,6 +548,21 @@ class TestBadInputExitsTwo:
         assert main(argv) == 2
         err = _one_error_line(capsys)
         assert f"error: {path}: seeds must be finite and lie in [-L, L), L = 30" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "criteria", "sweep"])
+    def test_datum_center_outside_the_domain(self, tmp_path, capsys, command):
+        # the datum would sample as zeros, which pass every edge check
+        path = tmp_path / "bad.ini"
+        path.write_text(SMOOTH.replace("width = 1.0\n", "width = 1.0\ncenter = 100.0\n"))
+        out = tmp_path / "out"
+        argv = {"simulate": ["simulate", str(path), "--summary-json", str(out)],
+                "criteria": ["criteria", str(path), "--json", str(out)],
+                "sweep": ["sweep", str(path), "--amplitudes", "0.3", "--widths", "1.0",
+                          "--workers", "1", "--csv", str(out)]}[command]
+        assert main(argv) == 2
+        err = _one_error_line(capsys)
+        assert f"error: {path}: datum center must lie in [-L, L), L = 30" in err
         assert not out.exists()
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -256,3 +258,13 @@ def test_load_config_roundtrip(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text(FULL)
     assert load_config(str(p)) == parse_config(FULL)
+
+
+def test_readme_example_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0], "README")
+    assert (cfg.grid.half_length, cfg.grid.n_points) == (30.0, 4096)
+    assert cfg.profile.kind == "constant" and cfg.seeds == (0.0, 0.5, -1.25)
+    assert cfg.records_csv == "out/records.csv"

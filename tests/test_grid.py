@@ -6,6 +6,8 @@ convolution follow its measured fourth-order convergence.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import chbreak
 from chbreak import (
     DissipationProfile,
     EdgeDecayError,
@@ -135,6 +138,52 @@ class TestDerivatives:
     def test_h1_norm_zero(self):
         g = Grid(L, 256)
         assert h1_norm_sq(Field(g, np.zeros(256))) == 0.0
+
+
+def _raw_noise(grid):
+    # not band-limited, so the Nyquist mode is far from zero
+    return Field(grid, np.random.default_rng(3).standard_normal(grid.n_points))
+
+
+class TestCachedSymbols:
+    """deriv and second_deriv read Grid.ik and Grid.minus_k2; each gives what
+    the symbol it replaced, built inline, gave, bit for bit."""
+
+    @pytest.mark.parametrize("make", [_band_noise, _raw_noise])
+    def test_deriv_matches_the_inline_symbol(self, make):
+        u = make(Grid(L, 1024))
+        coeffs = np.fft.rfft(u.values)
+        coeffs *= 1j * u.grid.wavenumbers
+        coeffs[-1] = 0.0
+        assert deriv(u).values.tobytes() == np.fft.irfft(coeffs, 1024).tobytes()
+
+    @pytest.mark.parametrize("make", [_band_noise, _raw_noise])
+    def test_second_deriv_matches_the_inline_symbol(self, make):
+        u = make(Grid(L, 1024))
+        coeffs = np.fft.rfft(u.values)
+        k = u.grid.wavenumbers
+        coeffs *= -(k * k)
+        assert second_deriv(u).values.tobytes() == np.fft.irfft(coeffs, 1024).tobytes()
+
+    @pytest.mark.parametrize("name", ["ik", "minus_k2"])
+    def test_symbols_are_cached_and_read_only(self, name):
+        g = Grid(L, 64)
+        symbol = getattr(g, name)
+        assert getattr(g, name) is symbol
+        with pytest.raises(ValueError):
+            symbol[1] = 0.0
+
+    def test_ik_zeroes_the_nyquist_mode(self):
+        g = Grid(L, 64)
+        assert g.ik[-1] == 0.0
+        assert np.array_equal(g.ik[:-1].imag, g.wavenumbers[:-1])
+
+    def test_only_the_grid_module_builds_fourier_symbols(self):
+        texts = {path.name: path.read_text(encoding="utf-8")
+                 for path in Path(chbreak.__file__).parent.glob("*.py")}
+        offenders = sorted(name for name, text in texts.items() if name != "grid.py"
+                           and ("wavenumbers" in text or re.search(r"\b1j\b", text)))
+        assert offenders == []
 
 
 # absolute error of the marching kernels against adaptive quadrature of the

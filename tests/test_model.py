@@ -74,6 +74,37 @@ class TestDissipationProfile:
         ref, _ = quad(p.rate, 0.0, 1.7, points=[0.5], epsabs=1e-13)
         assert p.integral(1.7) == pytest.approx(ref, abs=1e-11)
 
+    def test_piecewise_integral_with_knots_before_zero(self):
+        # lambda = 1 + t on [-1, 1]; the integral starts at t = 0, not at the first knot
+        p = DissipationProfile.piecewise((-1.0, 1.0), (0.0, 2.0))
+        assert p.integral(0.0) == 0.0
+        assert p.integral(0.5) == 0.625
+        assert p.integral(2.0) == 3.5
+
+    @pytest.mark.parametrize("knots", [
+        ((-2.0, -0.5, 0.7, 1.5), (0.3, -0.2, 0.9, 0.4)),   # two knots before 0
+        ((0.3, 0.8, 1.1), (0.5, 1.7, 0.2)),                # held before the first knot
+        ((-1.0, 1.0), (0.0, 2.0)),
+    ])
+    @pytest.mark.parametrize("t", [0.25, 0.7, 0.8, 1.0, 1.5, 4.0])
+    def test_piecewise_integral_against_quadrature(self, knots, t):
+        # t runs from inside the table, onto and around knots, to past the last knot
+        p = DissipationProfile.piecewise(*knots)
+        inner = [k for k in knots[0] if 0.0 < k < t]
+        ref, _ = quad(p.rate, 0.0, t, points=inner or None)   # exact on each linear piece
+        assert p.integral(t) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("profile", [
+        DissipationProfile.constant(0.3),
+        DissipationProfile.linear_ramp(0.1, 0.25, delta_sup=2.0),
+        DissipationProfile.sinusoidal(0.2, 0.3, 2.0),
+        DissipationProfile.piecewise((0.0, 0.5, 2.0), (0.1, 0.4, 0.2)),
+    ], ids=lambda p: p.kind)
+    def test_rate_and_integral_are_python_floats(self, profile):
+        # records.csv writes it with repr: a numpy scalar would print as np.float64(...)
+        assert type(profile.integral(0.7)) is float
+        assert type(profile.rate(0.7)) is float
+
     def test_piecewise_validation(self):
         with pytest.raises(ConfigError):
             DissipationProfile.piecewise((0.0, 1.0), (0.1,))
@@ -393,6 +424,15 @@ class TestNativeGridProducts:
         fft_lengths.clear()
         rhs(u, 0.0, DissipationProfile.constant(0.1))
         assert fft_lengths == [GRID.n_points] * 9
+
+    def test_rhs_matches_the_inline_symbol_product_bit_for_bit(self):
+        u = _smooth_bump()
+        s = _nonlinear_spectra(GRID, u.values)
+        grad_conv = s.flux * GRID.helmholtz_multiplier * (1j * GRID.wavenumbers)
+        grad_conv[-1] = 0.0
+        ref = np.fft.irfft(-s.advect - grad_conv, GRID.n_points) - 0.3 * u.values
+        got = rhs(u, 0.0, DissipationProfile.constant(0.3))
+        assert got.values.tobytes() == ref.tobytes()
 
 
 class TestBoundedForcing:

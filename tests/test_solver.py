@@ -101,6 +101,13 @@ class TestConfigValidation:
             _cfg(seeds=seeds)
         _cfg(seeds=(0.1, -2.0))
 
+    @pytest.mark.parametrize("center", [100.0, -30.000001, 30.0])
+    def test_datum_center_outside_the_domain(self, center):
+        # the datum would sample as zeros, which pass every edge check
+        with pytest.raises(ValueError, match=r"datum center must lie in \[-L, L\), L = 30"):
+            _cfg(datum=replace(SMOOTH, center=center))
+        _cfg(datum=replace(SMOOTH, center=-30.0))
+
 
 class TestStep:
     def test_zero_state_stays_zero(self):
@@ -370,3 +377,22 @@ class TestCollapseSwitch:
                                   m, j, energy)
         assert passes == [GRID.n_points]
         assert outcome.frozen_forcing == b_front
+
+    def test_frozen_drift_is_the_inline_symbol_product_bit_for_bit(self, monkeypatch):
+        # the drift the tracks ride equals -(F / (1 + k^2)) (ik), Nyquist zeroed,
+        # built from the state's own spectra as before the symbols were shared
+        cfg = _cfg(datum=InitialDatum("gaussian_derivative", amplitude=2.0, width=1.3),
+                   t_end=4.0)
+        u = make_datum(cfg.datum, GRID)
+        m, j, energy = solver._measure(u)
+        outcome = RunOutcome(kind="reached_horizon", t_final=0.0, records=[],
+                             tracks=[object()], energy0=energy, dissipative=True)
+        drifts = []
+        monkeypatch.setattr(solver, "advance_frozen",
+                            lambda tracks, t, dt, drift, forcing, profile: drifts.append(drift))
+        solver._continue_collapse(cfg, outcome, lambda *rec: None, SolverState(0.0, u),
+                                  m, j, energy)
+        flux = model._nonlinear_spectra(GRID, u.values).flux
+        drift_hat = -flux * GRID.helmholtz_multiplier * (1j * GRID.wavenumbers)
+        drift_hat[-1] = 0.0
+        assert drifts[0].values.tobytes() == np.fft.irfft(drift_hat, GRID.n_points).tobytes()
