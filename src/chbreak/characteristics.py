@@ -89,30 +89,33 @@ class CharacteristicTrack:
         return len(self.times)
 
 
-def _append_sample(track: CharacteristicTrack, grid, t, q, v, w, rhs_u, rhs_ux,
-                   rhs_u_alt=math.nan, rhs_ux_alt=math.nan) -> None:
-    """Store one sample; the edge and slope limits decide its reliability."""
-    if abs(q) > grid.half_length - 2.0 * grid.dx:
-        track.edge_contaminated = True
-    track.times.append(t)
-    track.positions.append(float(q))
-    track.u_vals.append(float(v))
-    track.ux_vals.append(float(w))
-    track.rhs_u.append(rhs_u)
-    track.rhs_ux.append(rhs_ux)
-    track.rhs_u_alt.append(rhs_u_alt)
-    track.rhs_ux_alt.append(rhs_ux_alt)
-    track.reliable.append(not track.edge_contaminated and abs(w) < SLOPE_RELIABLE_LIMIT)
+_CHANNELS = ("positions", "u_vals", "ux_vals", "rhs_u", "rhs_ux", "rhs_u_alt", "rhs_ux_alt")
 
 
-def _append_pde_sample(track: CharacteristicTrack, q: float, aux: TrackAux) -> None:
+def _append_samples(tracks: list[CharacteristicTrack], grid, t: float, *channels) -> None:
+    """Store one sample per track: channels hold one entry per track, in
+    _CHANNELS order, and the two spectral-route ones default to NaN. The edge
+    and slope limits decide each sample's reliability."""
+    pad = [[math.nan] * len(tracks)] * (len(_CHANNELS) - len(channels))
+    rows = zip(*(np.asarray(c).tolist() for c in channels), *pad)
+    edge = grid.half_length - 2.0 * grid.dx
+    for track, row in zip(tracks, rows):
+        track.edge_contaminated |= abs(row[0]) > edge
+        track.times.append(t)
+        for name, value in zip(_CHANNELS, row):
+            getattr(track, name).append(value)
+        track.reliable.append(not track.edge_contaminated and abs(row[2]) < SLOPE_RELIABLE_LIMIT)
+
+
+def _append_pde_samples(tracks: list[CharacteristicTrack], q: np.ndarray, aux: TrackAux) -> None:
     uq = interp(aux.u, q)
     wq = interp(aux.ux, q)
     lam = aux.lam
-    # u^2 + h(u) at the point itself, so this route stays off the spectral kernel
-    local = uq * uq + (uq ** 3 - 1.5 * uq * uq)
-    _append_sample(
-        track, aux.u.grid, aux.t, q, uq, wq,
+    # u^2 + h(u) at the point itself, so this route stays off the spectral
+    # kernel; the cube is Python's, which rounds unlike numpy's x ** 3
+    local = uq * uq + (np.array([x ** 3 for x in uq.tolist()]) - 1.5 * uq * uq)
+    _append_samples(
+        tracks, aux.u.grid, aux.t, q, uq, wq,
         interp(aux.conv_diff, q) - lam * uq,
         -0.5 * wq * wq + local - interp(aux.conv_sum, q) - lam * wq,
         interp(aux.rhs_field, q) + uq * wq,
@@ -121,19 +124,19 @@ def _append_pde_sample(track: CharacteristicTrack, q: float, aux: TrackAux) -> N
 
 def start_track(seed: float, aux: TrackAux) -> CharacteristicTrack:
     track = CharacteristicTrack(seed=float(seed))
-    _append_pde_sample(track, float(seed), aux)
+    _append_pde_samples([track], np.array([track.seed]), aux)
     return track
 
 
-def advance(track: CharacteristicTrack, aux_before: TrackAux, aux_after: TrackAux) -> None:
-    """One Heun step of q' = u(q, t), then sample the new state's fields."""
+def advance(tracks: list[CharacteristicTrack], aux_before: TrackAux, aux_after: TrackAux) -> None:
+    """One Heun step of q' = u(q, t) for every track at once, then sample
+    the new state's fields. Each point's interp row is summed on its own,
+    so every track gets what a step of it alone would give, bit for bit."""
     dt = aux_after.t - aux_before.t
-    q = track.positions[-1]
+    q = np.array([tr.positions[-1] for tr in tracks])
     v0 = interp(aux_before.u, q)
-    predictor = q + dt * v0
-    v1 = interp(aux_after.u, predictor)
-    q_new = q + 0.5 * dt * (v0 + v1)
-    _append_pde_sample(track, q_new, aux_after)
+    v1 = interp(aux_after.u, q + dt * v0)
+    _append_pde_samples(tracks, q + 0.5 * dt * (v0 + v1), aux_after)
 
 
 def advance_frozen(
@@ -172,8 +175,7 @@ def advance_frozen(
     # the spectral route needs live fields; no second route while frozen
     rhs_u = interp(drift, q) - lam * v
     rhs_ux = -0.5 * w * w + interp(forcing, q) - lam * w
-    for i, track in enumerate(tracks):
-        _append_sample(track, drift.grid, t_new, q[i], v[i], w[i], rhs_u[i], rhs_ux[i])
+    _append_samples(tracks, drift.grid, t_new, q, v, w, rhs_u, rhs_ux)
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,18 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
+def _csv_cell(value) -> str:
+    """One CSV cell: None is empty, a bool lowercase, a float its repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def _record_row(rec) -> list:
-    return [repr(v) for v in (rec.t, rec.energy, rec.min_slope, rec.x_at_min,
-                              rec.sup_abs, rec.dt, rec.lam_integral)]
+    return [_csv_cell(v) for v in (rec.t, rec.energy, rec.min_slope, rec.x_at_min,
+                                   rec.sup_abs, rec.dt, rec.lam_integral)]
 
 
 def _run_summary(cfg: RunConfig, outcome, est) -> dict:
@@ -243,9 +252,7 @@ def _cmd_riccati(args) -> int:
             bound = omega_bound(args.delta, args.forcing, w0)
             rows.append(("scalar", w0, traj.blew_up, traj.t_blowup, bound))
     lines = [["case", "start", "blew_up", "t_numeric", "t_bound"]]
-    lines += [[kind, repr(float(start)), str(blew).lower(),
-               "" if t_num is None else repr(t_num), "" if bound is None else repr(bound)]
-              for kind, start, blew, t_num, bound in rows]
+    lines += [[_csv_cell(v) for v in row] for row in rows]
     for line in lines:
         print(",".join(line))
     if args.csv:
@@ -325,22 +332,13 @@ def _cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_cell, cells))
     elapsed = time.perf_counter() - started
 
-    def cell_text(value):
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return str(value).lower()
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
     with _writable(args.csv or "<stdout>"), (
             open(args.csv, "w", encoding="utf-8", newline="") if args.csv
             else contextlib.nullcontext(sys.stdout)) as out_fh:
         writer = csv.writer(out_fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
-            writer.writerow([cell_text(row[c]) for c in SWEEP_COLUMNS])
+            writer.writerow([_csv_cell(row[c]) for c in SWEEP_COLUMNS])
     n_bad = sum(1 for r in rows if r["status"] != "ok")
     print(f"sweep: {len(rows)} cells, {n_bad} failed, {elapsed:.3f} s",
           file=sys.stderr)

@@ -27,6 +27,12 @@ _FLOAT_LIST = "float_list"
 _PROFILE_KEYS = {"constant": ("value",), "linear_ramp": ("start", "ramp_rate"),
                  "sinusoidal": ("offset", "amplitude", "omega"),
                  "piecewise": ("times", "values")}
+# [datum] keys of each family; all but center are required
+_DATUM_KEYS = {family: ("values",) if family == "samples" else ("amplitude", "width", "center")
+               for family in DATUM_FAMILIES}
+# the key that picks a section's variant, and the keys each variant takes
+# (besides delta_sup, which every kind takes)
+_VARIANT_KEYS = {"datum": ("family", _DATUM_KEYS), "dissipation": ("kind", _PROFILE_KEYS)}
 _SCHEMA: dict[str, dict[str, object]] = {
     "grid": {"half_length": float, "n_points": int},
     "datum": {"family": str, "amplitude": float, "width": float,
@@ -110,75 +116,66 @@ def _validate_and_convert(text: str, path: str) -> dict[str, dict[str, object]]:
         if name not in _SCHEMA:
             raise ConfigError(f"{path}:{section_lines[name]}: unknown section [{name}]")
         table = _SCHEMA[name]
+        tag, variants = _VARIANT_KEYS.get(name, (None, {}))
+        variant = entries.get(tag, ("", 0))[0]
+        applies = variants.get(variant)
         out[name] = {}
         for key, (raw, lineno) in entries.items():
             if key not in table:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{name}]")
+            if applies is not None and key not in (tag, "delta_sup", *applies):
+                raise ConfigError(
+                    f"{path}:{lineno}: [{name}] {key} does not apply to {tag} {variant!r}")
             out[name][key] = _convert(path, name, key, raw, lineno, table[key])
     return out
 
 
-def _require(path: str, data: dict, section: str, key: str):
+def _require(data: dict, section: str, key: str):
     if section not in data or key not in data[section]:
-        raise ConfigError(f"{path}: missing required [{section}] {key}")
+        raise ConfigError(f"missing required [{section}] {key}")
     return data[section][key]
 
 
-def _build_profile(path: str, sec: dict) -> DissipationProfile:
+def _build_profile(sec: dict) -> DissipationProfile:
     kind = sec.get("kind")
     if kind not in PROFILE_KINDS:
-        raise ConfigError(
-            f"{path}: [dissipation] kind must be one of {PROFILE_KINDS}, got {kind!r}")
+        raise ConfigError(f"[dissipation] kind must be one of {PROFILE_KINDS}, got {kind!r}")
     keys = _PROFILE_KEYS[kind]
     required = keys + (("delta_sup",) if kind == "linear_ramp" else ())
     missing = [k for k in required if k not in sec]
     if missing:
-        raise ConfigError(f"{path}: [dissipation] kind {kind!r} needs {', '.join(missing)}")
+        raise ConfigError(f"[dissipation] kind {kind!r} needs {', '.join(missing)}")
     make = getattr(DissipationProfile, kind)
     return make(*(sec[k] for k in keys), sec.get("delta_sup"))
 
 
-def _build_datum(path: str, sec: dict) -> InitialDatum:
+def _build_datum(sec: dict) -> InitialDatum:
     family = sec.get("family")
     if family not in DATUM_FAMILIES:
-        raise ConfigError(
-            f"{path}: [datum] family must be one of {DATUM_FAMILIES}, got {family!r}")
-    if family == "samples":
-        if "values" not in sec:
-            raise ConfigError(f"{path}: [datum] family 'samples' needs values")
-        return InitialDatum(family="samples", values=sec["values"],
-                            center=sec.get("center", 0.0))
-    for key in ("amplitude", "width"):
-        if key not in sec:
-            raise ConfigError(f"{path}: [datum] family {family!r} needs {key}")
-    return InitialDatum(family=family, amplitude=sec["amplitude"],
-                        width=sec["width"], center=sec.get("center", 0.0))
+        raise ConfigError(f"[datum] family must be one of {DATUM_FAMILIES}, got {family!r}")
+    missing = [k for k in _DATUM_KEYS[family] if k != "center" and k not in sec]
+    if missing:
+        raise ConfigError(f"[datum] family {family!r} needs {missing[0]}")
+    return InitialDatum(family=family, **{k: v for k, v in sec.items() if k != "family"})
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
     data = _validate_and_convert(text, path)
-    half_length = _require(path, data, "grid", "half_length")
-    n_points = _require(path, data, "grid", "n_points")
-    try:
-        grid = Grid(half_length, n_points)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [grid] {exc}") from None
-    if "datum" not in data:
-        raise ConfigError(f"{path}: missing section [datum]")
-    datum = _build_datum(path, data["datum"])
-    if "dissipation" not in data:
-        raise ConfigError(f"{path}: missing section [dissipation]")
-    profile = _build_profile(path, data["dissipation"])
-    solver_sec = data.get("solver", {})
-    if "t_end" not in solver_sec:
-        raise ConfigError(f"{path}: missing required [solver] t_end")
-    seeds = data.get("characteristics", {}).get("seeds", ())
-    kwargs = {_FIELD_OF_KEY.get(k, k): v for k, v in solver_sec.items()}
-    kwargs.update(data.get("outputs", {}))
-    try:
-        return RunConfig(grid=grid, datum=datum, profile=profile, seeds=tuple(seeds),
-                         **kwargs)
-    except ValueError as exc:
+    try:    # past the line scan, every error names the path here, once
+        try:
+            grid = Grid(_require(data, "grid", "half_length"), _require(data, "grid", "n_points"))
+        except ValueError as exc:
+            raise ConfigError(f"[grid] {exc}") from None
+        for name in ("datum", "dissipation"):
+            if name not in data:
+                raise ConfigError(f"missing section [{name}]")
+        datum, profile = _build_datum(data["datum"]), _build_profile(data["dissipation"])
+        _require(data, "solver", "t_end")
+        kwargs = {_FIELD_OF_KEY.get(k, k): v for k, v in data["solver"].items()}
+        kwargs.update(data.get("outputs", {}))
+        return RunConfig(grid=grid, datum=datum, profile=profile,
+                         seeds=data.get("characteristics", {}).get("seeds", ()), **kwargs)
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -220,12 +217,8 @@ def emit_config(cfg: RunConfig) -> str:
     section("grid", [("half_length", cfg.grid.half_length),
                      ("n_points", cfg.grid.n_points)])
     d = cfg.datum
-    if d.family == "samples":
-        datum_pairs = [("family", d.family), ("center", d.center), ("values", d.values)]
-    else:
-        datum_pairs = [("family", d.family), ("amplitude", d.amplitude),
-                       ("width", d.width), ("center", d.center)]
-    section("datum", datum_pairs)
+    section("datum", [("family", d.family),
+                      *((k, getattr(d, k)) for k in _DATUM_KEYS[d.family])])
     p = cfg.profile
     values = (p.knot_times, p.knot_values) if p.kind == "piecewise" else p.params
     diss_pairs = [("kind", p.kind), *zip(_PROFILE_KEYS[p.kind], values),

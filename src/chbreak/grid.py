@@ -412,12 +412,10 @@ def interp(f: Field, points) -> np.ndarray | float:
     """
     grid = f.grid
     coeffs = f.weighted_spectrum
-    scalar = np.isscalar(points)
-    key = (float(points),) if scalar else tuple(np.ravel(np.asarray(points, dtype=float)).tolist())
+    key = tuple(np.ravel(np.asarray(points, dtype=float)).tolist())
     rows = _point_phases(grid.half_length, coeffs.size, key)
-    if scalar:
-        return float((rows @ coeffs).real[0] / grid.n_points)
-    return np.array([(rows[i:i + 1] @ coeffs).real[0] / grid.n_points for i in range(len(key))])
+    out = np.array([(rows[i:i + 1] @ coeffs).real[0] / grid.n_points for i in range(len(key))])
+    return float(out[0]) if np.isscalar(points) else out
 
 
 def h1_norm_sq(f: Field, fx: Field | None = None) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, EdgeDecayError, SearchError
 from .grid import (
+    DEFAULT_EDGE_TOL,
     Field,
     Grid,
     band_limit,
@@ -251,7 +252,7 @@ class InitialDatum:
         raise ConfigError("samples datum energy requires a grid; use h1_norm_sq")
 
 
-def make_datum(datum: InitialDatum, grid: Grid, edge_tol: float = 1e-8) -> Field:
+def make_datum(datum: InitialDatum, grid: Grid, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
     """Sample the datum on the grid, band-limit it, and vet edge decay."""
     if datum.family == "samples":
         v = np.asarray(datum.values, dtype=float)

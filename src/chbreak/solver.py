@@ -33,6 +33,7 @@ from .criteria import forcing_constant, slope_threshold
 from .diagnostics import DiagnosticsRecord
 from .errors import EdgeDecayError, NumericsError
 from .grid import (
+    DEFAULT_EDGE_TOL,
     Field,
     Grid,
     deriv,
@@ -51,9 +52,6 @@ from .model import (
     rhs,
 )
 from .riccati import rk4
-
-OUTCOME_KINDS = ("reached_horizon", "breaking_detected", "dt_underflow", "edge_decay_lost")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -77,7 +75,7 @@ class SolverConfig:
     seeds: tuple[float, ...] = ()
     tail_tol: float = 1.0e-6
     collapse_margin: float = 1.05
-    edge_tol: float = 1.0e-8
+    edge_tol: float = DEFAULT_EDGE_TOL
 
     def __post_init__(self) -> None:
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
@@ -106,6 +104,9 @@ class SolverConfig:
         if not -half <= self.datum.center < half:
             # a datum centred outside samples as zeros, which pass every edge check
             raise ValueError(f"datum center must lie in [-L, L), L = {half:g}")
+        if self.datum.family == "samples" and len(self.datum.values) != self.grid.n_points:
+            raise ValueError(f"samples datum has {len(self.datum.values)} values, "
+                             f"grid wants {self.grid.n_points}")
 
     def with_refinement(self, factor: int = 2) -> SolverConfig:
         """Same run with factor times the grid points. Every other value, the
@@ -248,8 +249,7 @@ def run(cfg: SolverConfig, sink=None) -> RunOutcome:
                 # input stops decaying the Eulerian phase is over
                 stop = "edge_decay_lost"
             else:
-                for tr in tracks:
-                    advance(tr, aux, aux_new)
+                advance(tracks, aux, aux_new)
         aux = aux_new
         m, j, energy = _measure(u, aux)
         if stop is None and m <= cfg.breaking_threshold:

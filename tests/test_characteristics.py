@@ -130,15 +130,29 @@ class TestBasicTransport:
 
     def test_advance_builds_three_phase_rows_for_nine_interps(self, phase_builds,
                                                                monkeypatch):
-        # the old position, the predictor, then seven fields at the new one
+        # the old positions, the predictors, then seven fields at the new
+        # ones; every call reads all three tracks at once
+        before, after = _live_aux_pair()
+        tracks = [start_track(s, before) for s in (0.5, -1.2, 2.5)]
+        points = _count_interps(monkeypatch)
+        assert phase_builds(lambda: advance(tracks, before, after)) == 3
+        assert len(points) == 9 and len(set(points)) == 3
+        assert all(len(p) == 3 for p in points)
+
+    def test_batch_matches_one_track_at_a_time_bit_for_bit(self):
         grid = Grid(30.0, 1024)
         u = make_datum(SMOOTH_DATUM, grid)
-        before = build_aux(u, 0.0, SMOOTH_PROFILE, 1e-8)
-        after = build_aux(u, 0.01, SMOOTH_PROFILE, 1e-8)
-        tr = start_track(0.5, before)
-        points = _count_interps(monkeypatch)
-        assert phase_builds(lambda: advance(tr, before, after)) == 3
-        assert len(points) == 9 and len(set(points)) == 3
+        auxes = [build_aux(u, 0.01 * i, SMOOTH_PROFILE, 1e-8) for i in range(4)]
+        seeds = (0.3, -1.2, 2.5, 29.9)
+        tracks = [start_track(s, auxes[0]) for s in seeds]
+        reference = [start_track(s, auxes[0]) for s in seeds]
+        for before, after in zip(auxes, auxes[1:]):
+            advance(tracks, before, after)
+            for tr in reference:
+                _advance_alone(tr, before, after)
+        assert repr(tracks) == repr(reference)
+        assert tracks[-1].edge_contaminated
+        assert all(type(ok) is bool for tr in tracks for ok in tr.reliable)
 
 
 class TestConvergence:
@@ -272,6 +286,31 @@ class TestFrozenAdvance:
         assert repr(tracks) == repr(reference)
 
 
+def _live_aux_pair():
+    u = make_datum(SMOOTH_DATUM, Grid(30.0, 1024))
+    return build_aux(u, 0.0, SMOOTH_PROFILE, 1e-8), build_aux(u, 0.01, SMOOTH_PROFILE, 1e-8)
+
+
+def _advance_alone(track, aux_before, aux_after):
+    """The per-track Heun step and sample advance made before it took a
+    batch, with scalar interp calls, kept as the reference."""
+    interp = characteristics.interp
+    dt = aux_after.t - aux_before.t
+    q = track.positions[-1]
+    v0 = interp(aux_before.u, q)
+    v1 = interp(aux_after.u, q + dt * v0)
+    q = q + 0.5 * dt * (v0 + v1)
+    aux = aux_after
+    uq, wq, lam = interp(aux.u, q), interp(aux.ux, q), aux.lam
+    local = uq * uq + (uq ** 3 - 1.5 * uq * uq)
+    characteristics._append_samples(
+        [track], aux.u.grid, aux.t, [q], [uq], [wq],
+        [interp(aux.conv_diff, q) - lam * uq],
+        [-0.5 * wq * wq + local - interp(aux.conv_sum, q) - lam * wq],
+        [interp(aux.rhs_field, q) + uq * wq],
+        [interp(aux.slope_field, q) + uq * interp(aux.uxx, q)])
+
+
 def _frozen_tracks():
     grid = Grid(30.0, 1024)
     aux = build_aux(make_datum(SMOOTH_DATUM, grid), 0.0, SMOOTH_PROFILE, 1e-8)
@@ -299,7 +338,7 @@ def _advance_frozen_alone(track, t_start, dt, drift, forcing, profile):
     q, v, w = characteristics.rk4(f, t_start, y, dt)
     t_new = t_start + dt
     lam = profile.rate(t_new)
-    characteristics._append_sample(
-        track, drift.grid, t_new, q, v, w,
-        characteristics.interp(drift, float(q)) - lam * v,
-        -0.5 * w * w + characteristics.interp(forcing, float(q)) - lam * w)
+    characteristics._append_samples(
+        [track], drift.grid, t_new, [q], [v], [w],
+        [characteristics.interp(drift, float(q)) - lam * v],
+        [-0.5 * w * w + characteristics.interp(forcing, float(q)) - lam * w])

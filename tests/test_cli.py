@@ -321,7 +321,7 @@ class TestSweep:
         assert "1 cells" in captured.err
 
     def test_sweep_rejects_samples_template(self, tmp_path, capsys):
-        vals = " ".join(["0.0"] * 256)
+        vals = " ".join(["0.0"] * 512)
         text = SMOOTH.replace(
             "family = sech_squared\namplitude = 0.4\nwidth = 1.0",
             f"family = samples\nvalues = {vals}")
@@ -563,6 +563,52 @@ class TestBadInputExitsTwo:
         assert main(argv) == 2
         err = _one_error_line(capsys)
         assert f"error: {path}: datum center must lie in [-L, L), L = 30" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old,new,where", [
+        ("width = 1.0\n", "width = 1.0\nvalues = 1 2 3\n", "9: [datum] values"),
+        ("family = sech_squared\namplitude = 0.4\nwidth = 1.0",
+         "family = samples\ncenter = 0.0\nvalues = " + ", ".join(["0.0"] * 512),
+         "7: [datum] center"),
+        ("value = 0.2\n", "value = 0.2\nomega = 2.0\n", "13: [dissipation] omega"),
+        ("value = 0.2\n", "value = 0.2\ntimes = 0 1\n", "13: [dissipation] times"),
+        ("value = 0.2\n", "value = 0.2\nramp_rate = 0.1\n", "13: [dissipation] ramp_rate"),
+    ], ids=["values_under_analytic", "center_under_samples", "omega_under_constant",
+            "times_under_constant", "ramp_rate_under_constant"])
+    @pytest.mark.parametrize("command", ["simulate", "criteria"])
+    def test_key_that_does_not_apply(self, tmp_path, capsys, command, old, new, where):
+        path = tmp_path / "bad.ini"
+        path.write_text(SMOOTH.replace(old, new))
+        assert main([command, str(path)]) == 2
+        assert _one_error_line(capsys).startswith(f"error: {path}:{where} does not apply")
+
+    @pytest.mark.parametrize("old,new", [
+        ("amplitude = 0.4", "amplitude = nan"),
+        ("value = 0.2", "value = inf"),
+        ("width = 1.0", "width = -1.0"),
+        ("kind = constant\nvalue = 0.2", "kind = sinusoidal\noffset = 0.2\n"
+                                          "amplitude = 0.1\nomega = 0"),
+    ], ids=["nan_amplitude", "inf_value", "negative_width", "zero_omega"])
+    def test_datum_and_profile_errors_name_the_path(self, tmp_path, capsys, old, new):
+        path = tmp_path / "bad.ini"
+        path.write_text(SMOOTH.replace(old, new))
+        records = tmp_path / "records.csv"
+        assert main(["simulate", str(path), "--records-csv", str(records)]) == 2
+        assert _one_error_line(capsys).startswith(f"error: {path}: ")
+        assert not records.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "criteria"])
+    def test_sample_count_checked_when_read(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.ini"
+        path.write_text(SMOOTH.replace(
+            "family = sech_squared\namplitude = 0.4\nwidth = 1.0",
+            "family = samples\nvalues = 0.0, 0.0, 0.0"))
+        out = tmp_path / "out"
+        argv = {"simulate": ["simulate", str(path), "--records-csv", str(out)],
+                "criteria": ["criteria", str(path), "--json", str(out)]}[command]
+        assert main(argv) == 2
+        err = _one_error_line(capsys)
+        assert err == f"error: {path}: samples datum has 3 values, grid wants 512\n"
         assert not out.exists()
 
 

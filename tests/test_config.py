@@ -220,6 +220,17 @@ class TestEmit:
         cfg = parse_config(text)
         assert parse_config(emit_config(cfg)) == cfg
 
+    def test_emits_only_the_keys_of_the_family_and_kind(self):
+        vals = " ".join(["0.5"] * 16)
+        text = MINIMAL.replace(
+            "family = sech_squared\namplitude = 0.4\nwidth = 1.0",
+            f"family = samples\nvalues = {vals}").replace("n_points = 256", "n_points = 16")
+        datum = emit_config(parse_config(text)).split("[datum]\n")[1].split("\n\n")[0]
+        assert [ln.split(" = ")[0] for ln in datum.splitlines()] == ["family", "values"]
+        dissipation = emit_config(parse_config(MINIMAL)).split("[dissipation]\n")[1]
+        keys = [ln.split(" = ")[0] for ln in dissipation.split("\n\n")[0].splitlines()]
+        assert keys == ["kind", "value", "delta_sup"]
+
     def test_emit_is_stable(self):
         cfg = parse_config(FULL)
         assert emit_config(cfg) == emit_config(parse_config(emit_config(cfg)))

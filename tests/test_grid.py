@@ -436,6 +436,14 @@ class TestInterpSpectrumCache:
         # a 0-d array takes the array route and keeps its shape
         assert interp(u, np.array(0.5)).shape == (1,)
 
+    def test_scalar_point_is_the_float_of_a_one_point_list(self):
+        g = Grid(L, 1024)
+        u = _band_noise(g, seed=18)
+        for q in (0.0, -7.25, g.x[3], np.float64(12.5), 2):
+            got = interp(u, q)
+            assert type(got) is float
+            assert got == interp(u, [q])[0]
+
     @pytest.mark.parametrize("other", [Grid(20.0, 1024), Grid(L, 512), Grid(20.0, 512)],
                              ids=["other_L", "other_N", "other_L_and_N"])
     def test_grids_queried_in_turn_get_their_own_phases(self, other):
