@@ -232,6 +232,7 @@ def _cmd_riccati(args) -> int:
     for flag, values in (("--delta", [args.delta]), ("--forcing", [args.forcing]),
                          ("--omega0", args.omega0), ("--rising0", [args.rising0]),
                          ("--falling0", [args.falling0])):
+        _need_values(flag, values)
         if not all(map(math.isfinite, values)):
             raise ConfigError(f"{flag} must be finite")
     if args.delta * args.delta + 2.0 * args.forcing < 0.0:
@@ -309,6 +310,9 @@ def _workers(flag: int | None) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for flag, values in (("--amplitudes", args.amplitudes), ("--widths", args.widths),
+                         ("--deltas", args.deltas)):
+        _need_values(flag, values)
     cfg = load_config(args.config)
     if cfg.datum.family == "samples":
         raise ConfigError("sweep needs an analytic datum family as the template")
@@ -347,6 +351,12 @@ def _cmd_sweep(args) -> int:
 
 def _float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _need_values(flag: str, values: list[float] | None) -> None:
+    """An empty list option would run nothing and still exit 0."""
+    if values == []:
+        raise ConfigError(f"{flag} needs at least one value")
 
 
 def build_parser() -> argparse.ArgumentParser:

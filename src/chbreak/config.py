@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .grid import Grid
-from .model import DATUM_FAMILIES, DissipationProfile, InitialDatum, PROFILE_KINDS
+from .model import DATUM_FAMILIES, DATUM_KEYS, DissipationProfile, InitialDatum, PROFILE_KINDS
 from .solver import SolverConfig
 
 _FLOAT_LIST = "float_list"
@@ -27,12 +27,9 @@ _FLOAT_LIST = "float_list"
 _PROFILE_KEYS = {"constant": ("value",), "linear_ramp": ("start", "ramp_rate"),
                  "sinusoidal": ("offset", "amplitude", "omega"),
                  "piecewise": ("times", "values")}
-# [datum] keys of each family; all but center are required
-_DATUM_KEYS = {family: ("values",) if family == "samples" else ("amplitude", "width", "center")
-               for family in DATUM_FAMILIES}
 # the key that picks a section's variant, and the keys each variant takes
 # (besides delta_sup, which every kind takes)
-_VARIANT_KEYS = {"datum": ("family", _DATUM_KEYS), "dissipation": ("kind", _PROFILE_KEYS)}
+_VARIANT_KEYS = {"datum": ("family", DATUM_KEYS), "dissipation": ("kind", _PROFILE_KEYS)}
 _SCHEMA: dict[str, dict[str, object]] = {
     "grid": {"half_length": float, "n_points": int},
     "datum": {"family": str, "amplitude": float, "width": float,
@@ -153,7 +150,7 @@ def _build_datum(sec: dict) -> InitialDatum:
     family = sec.get("family")
     if family not in DATUM_FAMILIES:
         raise ConfigError(f"[datum] family must be one of {DATUM_FAMILIES}, got {family!r}")
-    missing = [k for k in _DATUM_KEYS[family] if k != "center" and k not in sec]
+    missing = [k for k in DATUM_KEYS[family] if k != "center" and k not in sec]
     if missing:
         raise ConfigError(f"[datum] family {family!r} needs {missing[0]}")
     return InitialDatum(family=family, **{k: v for k, v in sec.items() if k != "family"})
@@ -218,7 +215,7 @@ def emit_config(cfg: RunConfig) -> str:
                      ("n_points", cfg.grid.n_points)])
     d = cfg.datum
     section("datum", [("family", d.family),
-                      *((k, getattr(d, k)) for k in _DATUM_KEYS[d.family])])
+                      *((k, getattr(d, k)) for k in DATUM_KEYS[d.family])])
     p = cfg.profile
     values = (p.knot_times, p.knot_values) if p.kind == "piecewise" else p.params
     diss_pairs = [("kind", p.kind), *zip(_PROFILE_KEYS[p.kind], values),

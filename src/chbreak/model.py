@@ -14,7 +14,7 @@ provided, since the minimum slope drives wave breaking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -35,6 +35,9 @@ if TYPE_CHECKING:
     from .criteria import BreakingSearchResult
 
 DATUM_FAMILIES = ("gaussian_derivative", "sech_squared", "antisym_peak", "samples")
+# the InitialDatum fields each family takes; a config needs all but center
+DATUM_KEYS = {family: ("values",) if family == "samples" else ("amplitude", "width", "center")
+              for family in DATUM_FAMILIES}
 PROFILE_KINDS = ("constant", "linear_ramp", "sinusoidal", "piecewise")
 MIXED_SAMPLE_INTERVALS = 8192
 WIDTH_SCAN_POINTS = 96   # widths find_breaking_datum tries, geometrically spaced
@@ -168,7 +171,7 @@ class InitialDatum:
 
     width is the sole shape parameter (the Gaussian sigma or the sech
     width); amplitude scales the profile. The `samples` family carries raw
-    node values instead.
+    node values instead, and takes no other field.
     """
 
     family: str
@@ -180,6 +183,11 @@ class InitialDatum:
     def __post_init__(self) -> None:
         if self.family not in DATUM_FAMILIES:
             raise ConfigError(f"unknown datum family {self.family!r}")
+        for f in fields(self):
+            # a value the family ignores would be lost by emit_config
+            if f.name not in ("family", *DATUM_KEYS[self.family]) \
+                    and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{f.name} does not apply to datum family {self.family!r}")
         if not all(math.isfinite(v) for v in (self.amplitude, self.width, self.center,
                                                *self.values)):
             raise ConfigError("datum amplitude, width, center and values must be finite")

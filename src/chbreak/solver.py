@@ -1,8 +1,8 @@
 """Time integration, breaking detection, and the certified slope continuation.
 
 A run has two phases. While the front is resolvable the band-limited
-Galerkin system is integrated with RK4 under a CFL and a slope-adapted step
-cap. No fixed grid can follow the slope minimum to -1e6: the front's width
+Galerkin system is integrated with RK4 under speed, slope and damping step
+caps. No fixed grid can follow the slope minimum to -1e6: the front's width
 shrinks like 1/m^2, so the Eulerian phase ends when spectral mass reaches
 the top octave of the band. At that moment the run checks a certificate:
 the measured minimum slope must already be past the supercritical threshold
@@ -52,6 +52,11 @@ from .model import (
     rhs,
 )
 from .riccati import rk4
+
+# largest max|lambda| * dt of a live step; RK4's error in exp(-2 lambda dt)
+# is (lambda dt)^5 / 60 per step, 5.3e-11 here
+DAMPING_STEP = 0.02
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -149,9 +154,11 @@ def _rk4(u: Field, t: float, dt: float, profile: DissipationProfile,
 def step(state: SolverState, cfg: SolverConfig, aux: TrackAux | None = None) -> SolverState:
     """One accepted RK4 step.
 
-    dt = min(cfl dx / max(1, sup|u|), slope_factor / max(1, |m|), horizon).
-    A step producing non-finite values is rejected and retried at dt/2;
-    underflow past dt_min raises NumericsError.
+    dt = min(cfl dx / sup|u|, c_m / max(1, |m|), DAMPING_STEP / max|lambda|,
+    horizon), where max|lambda| is the exact max(|inf lambda|, |sup lambda|)
+    on [0, t_end], so a negative lambda is capped too. The zero state steps
+    cfl dx. A step producing non-finite values is rejected and retried at
+    dt/2; underflow past dt_min raises NumericsError.
 
     aux, when given, is build_aux of this state at its time. Its ux gives m
     and its rhs_field is RK4's first stage, for every try at this state:
@@ -164,9 +171,11 @@ def step(state: SolverState, cfg: SolverConfig, aux: TrackAux | None = None) -> 
     sup = u.max_abs
     ux, k1 = (deriv(u), None) if aux is None else (aux.ux, aux.rhs_field)
     m = float(np.min(ux.values))
+    lam_max = max(map(abs, cfg.profile._extremes(cfg.t_end)))
     dt = min(
-        cfg.cfl_factor * grid.dx / max(1.0, sup),
+        cfg.cfl_factor * grid.dx / (sup if sup > 0.0 else 1.0),
         cfg.slope_dt_factor / max(1.0, abs(m)),
+        DAMPING_STEP / lam_max if lam_max > 0.0 else math.inf,
         cfg.t_end - state.t,
     )
     while True:

@@ -454,6 +454,19 @@ class TestBadInputExitsTwo:
         assert f"error: {path}: " in err and "t_end" in err
         assert not out.exists()
 
+    def test_riccati_empty_start_list(self, capsys):
+        assert main(["riccati", "--forcing", "2", "--omega0", ""]) == 2
+        assert "--omega0 needs at least one value" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("flag", ["--amplitudes", "--widths", "--deltas"])
+    def test_sweep_empty_cell_list(self, smooth_cfg, tmp_path, capsys, flag):
+        lists = {"--amplitudes": "0.3", "--widths": "1.0", flag: ""}
+        dest = tmp_path / "sweep.csv"
+        argv = ["sweep", smooth_cfg, "--workers", "1", "--csv", str(dest)]
+        assert main(argv + [tok for kv in lists.items() for tok in kv]) == 2
+        assert f"{flag} needs at least one value" in _one_error_line(capsys)
+        assert not dest.exists()
+
     def test_riccati_forcing_below_threshold_range(self, capsys):
         assert main(["riccati", "--forcing", "-5", "--omega0", "-3"]) == 2
         assert "--forcing" in _one_error_line(capsys)

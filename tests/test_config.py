@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chbreak import ConfigError, emit_config, load_config, parse_config
+from chbreak import ConfigError, InitialDatum, emit_config, load_config, parse_config
 
 FULL = """\
 # full configuration exercising every section
@@ -218,6 +218,26 @@ class TestEmit:
             "kind = constant\nvalue = 0.0",
             "kind = piecewise\ntimes = 0.0 1.0\nvalues = 0.2 0.3")
         cfg = parse_config(text)
+        assert parse_config(emit_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("extra", [{"center": 5.0, "amplitude": 2.0}, {"width": 0.5}])
+    def test_samples_datum_takes_no_analytic_field(self, extra):
+        # emit_config writes only values for node samples, so these would be
+        # lost on the round trip
+        with pytest.raises(ConfigError, match="does not apply to datum family 'samples'"):
+            InitialDatum("samples", values=(0.0,) * 16, **extra)
+
+    def test_analytic_datum_takes_no_values(self):
+        with pytest.raises(ConfigError, match="values does not apply"):
+            InitialDatum("sech_squared", amplitude=0.4, values=(1.0, 2.0))
+
+    @pytest.mark.parametrize("datum", [
+        InitialDatum("samples", values=tuple(math.sin(i) for i in range(16))),
+        InitialDatum("antisym_peak", amplitude=0.4, width=2.0, center=-1.5),
+    ], ids=["samples", "antisym_peak"])
+    def test_library_built_datum_roundtrips(self, datum):
+        base = parse_config(MINIMAL.replace("n_points = 256", "n_points = 16"))
+        cfg = dataclasses.replace(base, datum=datum)
         assert parse_config(emit_config(cfg)) == cfg
 
     def test_emits_only_the_keys_of_the_family_and_kind(self):

@@ -129,6 +129,25 @@ class TestStep:
         ratio = h1_norm_sq(after.u) / e0
         assert ratio == pytest.approx(math.exp(-2.0 * after.last_dt), abs=1e-10)
 
+    def test_slow_state_steps_at_its_own_speed(self):
+        # 0 < sup|u| < 1, and neither the slope nor the damping cap binds
+        cfg = _cfg()
+        state = SolverState(0.0, make_datum(SMOOTH, GRID))
+        sup = state.u.max_abs
+        assert 0.0 < sup < 1.0
+        assert step(state, cfg).last_dt == cfg.cfl_factor * GRID.dx / sup
+
+    def test_constant_damping_caps_lambda_dt(self):
+        cfg = _cfg(profile=DissipationProfile.constant(1.0))
+        out = step(SolverState(0.0, make_datum(SMOOTH, GRID)), cfg)
+        assert out.last_dt == solver.DAMPING_STEP == 0.02
+
+    def test_negative_damping_is_capped_by_its_magnitude(self):
+        # lambda runs from -2 to 0.5 on [0, 1]: |inf lambda| sets the cap
+        cfg = _cfg(profile=DissipationProfile.linear_ramp(-2.0, 2.5, 0.5))
+        out = step(SolverState(0.0, make_datum(SMOOTH, GRID)), cfg)
+        assert out.last_dt == solver.DAMPING_STEP / 2.0
+
     def test_horizon_capped(self):
         cfg = _cfg(t_end=1e-4)
         state = SolverState(0.0, make_datum(SMOOTH, GRID))
