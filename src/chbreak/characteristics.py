@@ -130,8 +130,8 @@ def start_track(seed: float, aux: TrackAux) -> CharacteristicTrack:
 
 def advance(tracks: list[CharacteristicTrack], aux_before: TrackAux, aux_after: TrackAux) -> None:
     """One Heun step of q' = u(q, t) for every track at once, then sample
-    the new state's fields. Each point's interp row is summed on its own,
-    so every track gets what a step of it alone would give, bit for bit."""
+    the new state's fields. Each point's interp sum is its own, so every
+    track gets what a step of it alone would give, bit for bit."""
     dt = aux_after.t - aux_before.t
     q = np.array([tr.positions[-1] for tr in tracks])
     v0 = interp(aux_before.u, q)
@@ -150,7 +150,7 @@ def advance_frozen(tracks: list[CharacteristicTrack], t_start: float, dt: float,
     w' = -w^2/2 + forcing(q) - lambda w, with drift = (P+ - P-) * F and
     forcing = u^2 + h(u) - P * F evaluated at the freeze time. The state is
     one (q, v, w) row per track; the tracks share nothing but the phase
-    rows of each stage's points, so every row is what a step of its track
+    tables of each stage's points, so every row is what a step of its track
     alone would give, bit for bit. The laws are written once, in the stage
     f: the new sample's rhs_u and rhs_ux are columns 1 and 2 of f at the new
     state, which is returned; handed back as k1, it is the next step's

@@ -150,7 +150,7 @@ class Field:
     A Field is a value: its `values` are a read-only view and are never
     mutated in place, and every operation returns a new Field. That is what
     lets spectra derived from the values be computed once per instance and
-    cached (weighted_spectrum).
+    cached (spectrum_tiles).
     """
 
     grid: Grid
@@ -189,19 +189,29 @@ class Field:
         return float(np.max(np.abs(self.values)))
 
     @cached_property
-    def weighted_spectrum(self) -> np.ndarray:
+    def spectrum_tiles(self) -> np.ndarray:
         """rfft of the values with the interior modes doubled, so that the
-        real interpolant is a one-sided sum over k = 0..N/2 (interp).
+        real interpolant is a one-sided sum over k = 0..N/2 (interp),
+        zero-padded to whole 32 x 64 tiles, read-only.
 
         Computed on first use and cached on this instance.
         """
-        coeffs = np.fft.rfft(self.values)
+        count = self.grid.n_points // 2 + 1
+        tiles = np.zeros(_tile_count(count) * _TILE, dtype=complex)
+        coeffs = tiles[:count]
+        coeffs[:] = np.fft.rfft(self.values)
         coeffs[1:-1] *= 2.0
-        return coeffs
+        tiles.flags.writeable = False
+        return tiles.reshape(-1, _TILE_ROWS, _FINE)
+
+    @property
+    def weighted_spectrum(self) -> np.ndarray:
+        """The modes k = 0..N/2 of spectrum_tiles, a read-only view."""
+        return self.spectrum_tiles.reshape(-1)[:self.grid.n_points // 2 + 1]
 
     @cached_property
     def smoothed_values(self) -> np.ndarray:
-        """(1 - d_xx)^(-1) of the values, read-only, cached like weighted_spectrum."""
+        """(1 - d_xx)^(-1) of the values, read-only, cached like spectrum_tiles."""
         s = np.fft.irfft(np.fft.rfft(self.values) * self.grid.helmholtz_multiplier,
                          self.grid.n_points)
         s.flags.writeable = False
@@ -367,35 +377,48 @@ def conv_P_minus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
 # Interpolation and norms
 
 
-# interp's phase tables split each mode index as k = _PHASE_BLOCK * a + b
-_PHASE_BLOCK = 64
+# interp splits each mode index as k = _FINE * a + b with b < _FINE, and a
+# field's spectrum into tiles of _TILE_ROWS values of a by _FINE of b. The
+# tile size keeps BLAS on one thread: OpenBLAS (0.3.31) runs zgemv on two
+# threads once m * n >= 4096, and a 32 x 64 tile has 2048 entries. One
+# 65 x 64 or 129 x 64 product per point, at N = 8192 or 16384, crosses that
+# line: on two cores it takes twice its wall time in CPU time.
+_FINE = 64
+_TILE_ROWS = 32
+_TILE = _TILE_ROWS * _FINE
+_STEP_ORDERS = 1j * np.array([_FINE, 1.0])
 
 
-def _phases(theta: np.ndarray, count: int) -> np.ndarray:
-    """e^(i theta k) for k = 0..count-1, one row per entry of theta.
+def _tile_count(count: int) -> int:
+    """Tiles that hold modes k = 0..count-1."""
+    return -(-count // _TILE)
 
-    Each row is the outer product of two short tables, e^(i theta 64 a) and
-    e^(i theta b) for b < 64, so a row costs about count/64 + 64 complex
-    exponentials instead of count.
+
+def _phases(theta: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """e^(i theta k) for k = 0..count-1 as two short tables, one row per entry
+    of theta: coarse e^(i theta _FINE a) for every a of _tile_count(count)
+    tiles, and fine e^(i theta b) for b < _FINE, so e^(i theta k) is
+    coarse[:, a] * fine[:, b].
+
+    Each row is a running product of one complex exponential, e^(i theta
+    _FINE) or e^(i theta), so a point costs two exponentials.
     """
-    blocks = -(-count // _PHASE_BLOCK)
-    column = theta[:, None]
-    coarse = np.exp(1j * column * (_PHASE_BLOCK * np.arange(blocks)))
-    fine = np.exp(1j * column * np.arange(_PHASE_BLOCK))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(theta.size, -1)[:, :count]
-
-
-def _phase_rows(half_length: float, pts: np.ndarray, count: int) -> np.ndarray:
-    """_phases at points of [-half_length, half_length), one row per point."""
-    return _phases((pts + half_length) * (np.pi / half_length), count)
+    rows = _TILE_ROWS * _tile_count(count)
+    table = np.empty((2, theta.size, max(rows, _FINE)), dtype=complex)
+    table[:, :, 0] = 1.0
+    table[:, :, 1:] = np.exp(_STEP_ORDERS * theta[:, None]).T[:, :, None]
+    np.cumprod(table, axis=2, out=table)
+    return table[0, :, :rows], table[1, :, :_FINE]
 
 
 @lru_cache(maxsize=1)
-def _point_phases(half_length: float, count: int, points: tuple[float, ...]) -> np.ndarray:
-    """_phase_rows of a tuple of points, read-only."""
-    rows = _phase_rows(half_length, np.array(points), count)
-    rows.flags.writeable = False
-    return rows
+def _point_phases(half_length: float, count: int,
+                  points: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """_phases of a tuple of points of [-half_length, half_length), read-only."""
+    tables = _phases((np.array(points) + half_length) * (np.pi / half_length), count)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def interp(f: Field, points) -> np.ndarray | float:
@@ -403,18 +426,21 @@ def interp(f: Field, points) -> np.ndarray | float:
 
     Scalar in, scalar out; array in, array out. Spectrally accurate for
     band-limited fields and exact at the nodes. The field's spectrum comes
-    from its cache (Field.weighted_spectrum), so repeated calls on one field
-    transform it once. The phases cost more than the sum, and callers read
-    several fields at the same points in turn (seven per track sample, two
-    per frozen RK4 stage), so a call reuses the previous call's phase rows
-    when L, N and the points match. Each point's row is summed on its own,
-    so a point's value does not depend on which other points came with it.
+    from its cache (Field.spectrum_tiles), so repeated calls on one field
+    transform it once. A point's value is the real part of
+    sum_a coarse_a (tile_a @ fine) / N: one 32 x 64 matrix-vector product
+    per tile and point, all in one stacked matmul, then one sum per point.
+    Callers read several fields at the same points in turn (seven per track
+    sample, two per frozen RK4 stage), so a call reuses the previous call's
+    phase tables when L, N and the points match. Each point is summed on its
+    own, so a point's value does not depend on which other points came with
+    it.
     """
     grid = f.grid
-    coeffs = f.weighted_spectrum
     key = tuple(np.ravel(np.asarray(points, dtype=float)).tolist())
-    rows = _point_phases(grid.half_length, coeffs.size, key)
-    out = np.array([(rows[i:i + 1] @ coeffs).real[0] / grid.n_points for i in range(len(key))])
+    coarse, fine = _point_phases(grid.half_length, grid.n_points // 2 + 1, key)
+    inner = np.matmul(f.spectrum_tiles, fine[:, None, :, None]).reshape(coarse.shape)
+    out = (coarse.real * inner.real - coarse.imag * inner.imag).sum(axis=1) / grid.n_points
     return float(out[0]) if np.isscalar(points) else out
 
 

@@ -250,16 +250,17 @@ def run(cfg: SolverConfig, sink=None) -> RunOutcome:
         aux_new = None
         if not smoothed_edge_decay(u, cfg.edge_tol):
             stop = "edge_decay_lost"
-        elif tracks:
+        elif aux is not None:
             try:
                 aux_new = build_aux(u, state.t, profile, cfg.edge_tol)
             except EdgeDecayError:
                 # the track channels need the one-sided kernels; once their
-                # input stops decaying the Eulerian phase is over
-                stop = "edge_decay_lost"
+                # input stops decaying the tracks end, and the run goes on
+                # as it would have without them
+                pass
             else:
                 advance(tracks, aux, aux_new)
-        aux = aux_new
+        aux = aux_new   # None from here on once the tracks have ended
         m, j, energy = _measure(u, aux)
         if stop is None and m <= cfg.breaking_threshold:
             stop = "breaking_detected"
@@ -276,7 +277,8 @@ def run(cfg: SolverConfig, sink=None) -> RunOutcome:
     t_final = state.t
     outcome.live_steps, outcome.dt_halvings = state.step_index, state.halvings
     if stop == "collapse":
-        stop, t_final = _continue_collapse(cfg, outcome, emit, state, m, j, energy)
+        stop, t_final = _continue_collapse(cfg, outcome, emit, state, m, j, energy,
+                                           tracking=aux is not None)
     elif stop is None:
         # horizon reached in the Eulerian phase
         if records[-1].t < state.t * (1.0 - 1e-14):
@@ -287,15 +289,17 @@ def run(cfg: SolverConfig, sink=None) -> RunOutcome:
 
 
 def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, emit, state: SolverState,
-                       m: float, j: int, energy_sw: float) -> tuple[str, float]:
+                       m: float, j: int, energy_sw: float,
+                       tracking: bool = True) -> tuple[str, float]:
     """Integrate the closed slope law against the frozen fields.
 
     Entered only under the certificate: the slope minimum is supercritical
     for the current energy, so it decreases monotonically to -inf and the
     bounded forcing stays bounded by the (frozen) forcing_constant. Returns
-    the outcome kind and the final time. The drift field is built only for
-    a run with tracks, and each continued step hands the tracks' stage at
-    their new sample to the next step as its first RK4 stage.
+    the outcome kind and the final time. The tracks go on only when
+    tracking: not once they have ended in the live phase. The drift field
+    is built only for tracks that go on, and each continued step hands their
+    stage at the new sample to the next step as its first RK4 stage.
     """
     profile = cfg.profile
     outcome.t_switch = state.t
@@ -304,7 +308,8 @@ def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, emit, state: Solv
     grid = cfg.grid
     s = _nonlinear_spectra(grid, u_frozen.values)
     b_field = from_spectrum(grid, _bounded_forcing_hat(s))
-    drift = from_spectrum(grid, s.drift) if outcome.tracks else None   # (P+ - P-) * F
+    tracks = outcome.tracks if tracking else []
+    drift = from_spectrum(grid, s.drift) if tracks else None   # (P+ - P-) * F
     b_at_front = float(b_field.values[j])
     outcome.frozen_forcing = b_at_front
     xi = float(grid.x[j])
@@ -323,8 +328,8 @@ def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, emit, state: Solv
         # front location rides the frozen velocity field
         v_xi = interp(u_frozen, xi)
         xi = xi + dt * 0.5 * (v_xi + interp(u_frozen, xi + dt * v_xi))
-        if outcome.tracks:
-            k1 = advance_frozen(outcome.tracks, t, dt, drift, b_field, profile, k1)
+        if tracks:
+            k1 = advance_frozen(tracks, t, dt, drift, b_field, profile, k1)
         t += dt
         step_index += 1
         law_energy = math.exp(-2.0 * (profile.integral(t) - lam_int_sw)) * energy_sw

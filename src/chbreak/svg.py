@@ -8,12 +8,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 PALETTE = ("#1f6fb2", "#d95f02", "#2a9d50", "#7a4fa3", "#6b6b6b")
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 64, 18, 42, 52
+
+
+def _escape(text: str) -> str:
+    """Text for an SVG element: &, < and > as entities (xml.sax.saxutils
+    would load urllib, and with it ssl and email, into every command)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,7 @@ def write_line_chart(path: str, title: str, xlabel: str, ylabel: str, series) ->
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
     ]
     for tx in _nice_ticks(x_lo, x_hi):
         px = sx(tx)
@@ -102,10 +107,10 @@ def write_line_chart(path: str, title: str, xlabel: str, ylabel: str, series) ->
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{inner_w}" height="{inner_h}" '
                'fill="none" stroke="black" stroke-width="1"/>')
     out.append(f'<text x="{_ML + inner_w // 2}" y="{_H - 12}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="12">{escape(xlabel)}</text>')
+               f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>')
     out.append(f'<text x="16" y="{_MT + inner_h // 2}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="12" '
-               f'transform="rotate(-90 16 {_MT + inner_h // 2})">{escape(ylabel)}</text>')
+               f'transform="rotate(-90 16 {_MT + inner_h // 2})">{_escape(ylabel)}</text>')
     for i, (s, pts) in enumerate(zip(series, pts_per)):
         if not pts:
             continue
@@ -118,7 +123,7 @@ def write_line_chart(path: str, title: str, xlabel: str, ylabel: str, series) ->
         out.append(f'<line x1="{_W - _MR - 150}" y1="{ly}" x2="{_W - _MR - 122}" '
                    f'y2="{ly}" stroke="{color}" stroke-width="1.6"{dash}/>')
         out.append(f'<text x="{_W - _MR - 116}" y="{ly + 4}" font-family="sans-serif" '
-                   f'font-size="11">{escape(s.label)}</text>')
+                   f'font-size="11">{_escape(s.label)}</text>')
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

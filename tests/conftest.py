@@ -37,7 +37,7 @@ def fft_lengths(monkeypatch):
 @pytest.fixture
 def phase_builds(monkeypatch):
     """phase_builds(action) calls action and returns how many times it called
-    chbreak.grid._phases, starting from an empty interp phase-row cache."""
+    chbreak.grid._phases, starting from an empty interp phase-table cache."""
     from chbreak import grid
     calls = []
     real_phases = grid._phases

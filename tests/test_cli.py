@@ -633,6 +633,16 @@ def test_import_leaves_scipy_signal_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_the_network_stack_unloaded():
+    # xml.sax.saxutils would pull in urllib.request, and with it ssl and
+    # email, for the escape of a chart label
+    code = ("import sys, chbreak.cli\n"
+            "print(sorted({'ssl', 'urllib.request'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.strip() == "[]"
+
+
 def test_seeded_simulate_loads_no_scipy(tmp_path):
     # the track kernels march in numpy; scipy is a test dependency only
     path = tmp_path / "seeded.ini"

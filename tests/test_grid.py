@@ -376,11 +376,23 @@ def _interp_weights(grid):
 
 
 # Float64 bound on the phase error, fixed before measuring: theta*k is at
-# most 2 pi * 8192 ~ 5.1e4 at N = 16384, so each rounded argument is off by
-# up to half an ulp, 3.6e-12. The direct route rounds theta*k once and the
-# two-table route rounds theta*64a (and theta*b, far smaller), so they can
-# differ by about 7.3e-12 plus a few ulp of the exponentials.
+# most 2 pi * 8192 ~ 5.1e4 at N = 16384, so each rounded argument of the
+# direct route is off by up to half an ulp, 3.6e-12. The two tables are
+# running products of e^(i theta) and e^(i theta 64) (64 theta is exact),
+# each step adding a few ulp: under 1e-13 after the 160 coarse and 64 fine
+# factors of N = 16384. So the routes differ by about 3.6e-12.
 PHASE_TOL = 1e-11
+
+
+def _check_direct_route(u, pts):
+    """interp at pts against e^(i theta k) @ weighted rfft, within PHASE_TOL
+    of the spectrum's absolute sum."""
+    g = u.grid
+    coeffs = _interp_weights(g) * np.fft.rfft(u.values)
+    theta = (pts[:, None] + L) * (np.pi / L)
+    direct = (np.exp(1j * theta * np.arange(coeffs.size)) @ coeffs).real / g.n_points
+    bound = PHASE_TOL * np.sum(np.abs(coeffs)) / g.n_points
+    assert np.max(np.abs(interp(u, pts) - direct)) < bound
 
 
 class TestInterpSpectrumCache:
@@ -390,9 +402,11 @@ class TestInterpSpectrumCache:
         rng = np.random.default_rng(3)
         theta = rng.uniform(0.0, 2.0 * np.pi, 40)
         direct = np.exp(1j * theta[:, None] * np.arange(count))
-        tables = _phases(theta, count)
-        assert tables.shape == direct.shape
-        assert np.max(np.abs(tables - direct)) < PHASE_TOL
+        coarse, fine = _phases(theta, count)
+        assert fine.shape == (theta.size, 64)
+        assert coarse.shape[0] == theta.size and 64 * coarse.shape[1] >= count
+        rebuilt = (coarse[:, :, None] * fine[:, None, :]).reshape(theta.size, -1)[:, :count]
+        assert np.max(np.abs(rebuilt - direct)) < PHASE_TOL
 
     def test_cached_spectrum_is_weighted_rfft_bit_for_bit(self):
         g = Grid(L, 1024)
@@ -415,13 +429,16 @@ class TestInterpSpectrumCache:
     def test_matches_direct_exponential_route(self):
         # the route interp used before the phase tables, kept as reference
         g = Grid(L, 16384)
-        u = _band_noise(g, seed=9)
-        coeffs = _interp_weights(g) * np.fft.rfft(u.values)
-        pts = np.random.default_rng(5).uniform(-L, L, 25)
-        theta = (pts[:, None] + L) * (np.pi / L)
-        direct = (np.exp(1j * theta * np.arange(coeffs.size)) @ coeffs).real / g.n_points
-        bound = PHASE_TOL * np.sum(np.abs(coeffs)) / g.n_points
-        assert np.max(np.abs(interp(u, pts) - direct)) < bound
+        _check_direct_route(_band_noise(g, seed=9), np.random.default_rng(5).uniform(-L, L, 25))
+
+    @pytest.mark.parametrize("n_points", [16, 32, 64, 4096, 8192, 16384])
+    @pytest.mark.parametrize("n_pts", [1, 9])
+    def test_tiles_match_direct_exponential_route(self, n_points, n_pts):
+        # up to N = 64 the modes fill less than one row of a tile; from
+        # N = 8192 on the Nyquist mode starts a tile of its own
+        g = Grid(L, n_points)
+        pts = np.random.default_rng(n_points + n_pts).uniform(-L, L, n_pts)
+        _check_direct_route(_band_noise(g, seed=20), pts)
 
     def test_scalar_point_matches_the_array_route_bit_for_bit(self):
         g = Grid(L, 2048)
@@ -474,13 +491,28 @@ class TestInterpSpectrumCache:
         assert _point_phases.cache_info().hits == hits + 1
 
     def test_cached_row_is_read_only(self):
-        g = Grid(L, 256)
-        interp(_band_noise(g), 0.4)
-        hits = _point_phases.cache_info().hits
-        row = _point_phases(g.half_length, g.n_points // 2 + 1, (0.4,))
-        assert _point_phases.cache_info().hits == hits + 1
-        with pytest.raises(ValueError):
-            row[0, 0] = 0.0
+        # both phase tables of a point set, and the field's spectrum tiles
+        # with the weighted_spectrum view of them
+        for n_points in (256, 16384):
+            g = Grid(L, n_points)
+            u = _band_noise(g)
+            interp(u, 0.4)
+            hits = _point_phases.cache_info().hits
+            tables = _point_phases(g.half_length, g.n_points // 2 + 1, (0.4,))
+            assert _point_phases.cache_info().hits == hits + 1
+            assert len(tables) == 2
+            for table in (*tables, u.spectrum_tiles, u.weighted_spectrum):
+                with pytest.raises(ValueError):
+                    table[(0,) * table.ndim] = 0.0
+
+    def test_weighted_spectrum_is_a_view_of_the_tiles(self):
+        g = Grid(L, 8192)
+        u = _band_noise(g, seed=19)
+        tiles = u.spectrum_tiles
+        assert tiles.shape[1:] == (32, 64)
+        assert np.shares_memory(u.weighted_spectrum, tiles)
+        assert u.weighted_spectrum.size == g.n_points // 2 + 1
+        assert not np.any(tiles.reshape(-1)[g.n_points // 2 + 1:])
 
     def test_runs_on_other_grids_between_leave_tracks_unchanged(self):
         def tracks(grid):

@@ -8,6 +8,7 @@ import pytest
 
 from chbreak import (
     DissipationProfile,
+    EdgeDecayError,
     Grid,
     InitialDatum,
     NumericsError,
@@ -236,6 +237,61 @@ class TestTrackAuxReuse:
         assert seeded.kind == breaking_outcome.kind
         assert seeded.continued_steps > 0
         assert repr(seeded.records) == repr(breaking_outcome.records)
+
+
+def _outcome_and_records(out):
+    return (out.kind, out.t_final, out.t_switch, out.m_switch, out.frozen_forcing,
+            out.resolution_degraded, out.live_steps, out.dt_halvings,
+            out.continued_steps, repr(out.records))
+
+
+class TestTracksThatLoseEdgeDecay:
+    """When the tracks' kernels reject a live state, only the tracks end:
+    the run goes on as it would have without seeds."""
+
+    @pytest.mark.parametrize("width,n_points", [(0.2, 2048), (0.5, 1024)],
+                             ids=["w0.2_N2048", "w0.5_N1024"])
+    def test_seeded_run_stops_where_the_unseeded_one_does(self, width, n_points):
+        cfg = _cfg(grid=Grid(30.0, n_points),
+                   datum=InitialDatum("gaussian_derivative", amplitude=2.0, width=width),
+                   profile=DissipationProfile.constant(0.0), t_end=4.0)
+        plain, seeded = run(cfg), run(replace(cfg, seeds=(0.0,)))
+        assert plain.kind == "edge_decay_lost"
+        assert _outcome_and_records(seeded) == _outcome_and_records(plain)
+        (track,) = seeded.tracks
+        assert 1 < track.n_samples < seeded.live_steps + 1
+        assert track.times[-1] < seeded.t_final
+
+    def test_ended_tracks_are_not_continued(self, monkeypatch):
+        # the kernels reject the state after the first live step; the run
+        # still switches and continues, and the track keeps its two samples
+        cfg = _cfg(grid=Grid(30.0, 2048),
+                   datum=InitialDatum("gaussian_derivative", amplitude=2.0, width=0.15),
+                   profile=DissipationProfile.constant(0.0), t_end=4.0)
+        plain = run(cfg)
+        calls, frozen = [], []
+
+        def fails_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise EdgeDecayError("build_aux: field does not decay at the domain edges")
+            return build_aux(*args)
+
+        monkeypatch.setattr(solver, "build_aux", fails_third)
+        monkeypatch.setattr(solver, "advance_frozen", lambda *a, **k: frozen.append(1))
+        seeded = run(replace(cfg, seeds=(0.0,)))
+        assert plain.continued_steps > 0
+        assert _outcome_and_records(seeded) == _outcome_and_records(plain)
+        assert len(calls) == 3 and not frozen
+        assert seeded.tracks[0].n_samples == 2
+
+    def test_kernels_that_reject_the_datum_still_raise(self, monkeypatch):
+        def rejects(*args):
+            raise EdgeDecayError("build_aux: field does not decay at the domain edges")
+
+        monkeypatch.setattr(solver, "build_aux", rejects)
+        with pytest.raises(EdgeDecayError):
+            run(_cfg(seeds=(0.0,)))
 
 
 class TestRun:

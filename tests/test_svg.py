@@ -37,6 +37,18 @@ class TestChartStructure:
         assert "a &lt; b &amp; c" in text
         assert "a < b" not in text
 
+    def test_every_label_escapes_as_xml_sax_saxutils_did(self, tmp_path):
+        # the texts xml.sax.saxutils.escape gave for these labels
+        p = tmp_path / "chart.svg"
+        write_line_chart(str(p), "T & <m>", "x<1 & y>0", "&amp; >>",
+                         [Series("u&u_x <0>", RAMP.xs, RAMP.ys)])
+        text, root = _read(p)
+        for escaped in ("T &amp; &lt;m&gt;", "x&lt;1 &amp; y&gt;0", "&amp;amp; &gt;&gt;",
+                        "u&amp;u_x &lt;0&gt;"):
+            assert f">{escaped}</text>" in text
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert {"T & <m>", "x<1 & y>0", "&amp; >>", "u&u_x <0>"} <= set(labels)
+
     def test_dashed_series(self, tmp_path):
         p = tmp_path / "chart.svg"
         write_line_chart(str(p), "t", "x", "y",
