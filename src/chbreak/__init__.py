@@ -14,8 +14,6 @@ from .criteria import (
     check_criterion1,
     check_criterion2,
     forcing_constant,
-    m_prime_rhs,
-    riccati_forcing,
     slope_threshold,
 )
 from .diagnostics import (
@@ -120,12 +118,10 @@ __all__ = [
     "interp",
     "lemma_residual",
     "load_config",
-    "m_prime_rhs",
     "make_datum",
     "omega_bound",
     "parse_config",
     "rhs",
-    "riccati_forcing",
     "run",
     "second_deriv",
     "slope_rhs",

@@ -83,6 +83,7 @@ class CharacteristicTrack:
     rhs_ux_alt: list = dataclass_field(default_factory=list)
     reliable: list = dataclass_field(default_factory=list)
     edge_contaminated: bool = False
+    stopped_at: float | None = None   # last sample's time, when the run outlasted the track
 
     @property
     def n_samples(self) -> int:

@@ -129,7 +129,7 @@ def _run_summary(cfg: RunConfig, outcome, est) -> dict:
         "location_check": location_check,
         "tracks": [
             {"seed": tr.seed, "n_samples": tr.n_samples,
-             "edge_contaminated": tr.edge_contaminated,
+             "edge_contaminated": tr.edge_contaminated, "stopped_at": tr.stopped_at,
              "final_position": tr.positions[-1], "final_slope": tr.ux_vals[-1]}
             for tr in outcome.tracks
         ],
@@ -300,12 +300,6 @@ def _sweep_cell(packed):
 def _workers(flag: int | None) -> int:
     if flag is not None:
         return max(1, flag)
-    raw = os.environ.get("CHBREAK_WORKERS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"CHBREAK_WORKERS must be an integer, got {raw!r}") from None
     return os.cpu_count() or 1
 
 
@@ -397,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--widths", type=_float_list, required=True)
     p_swp.add_argument("--deltas", type=_float_list, default=None)
     p_swp.add_argument("--workers", type=int, default=None,
-                       help="cell parallelism (default: CHBREAK_WORKERS or all cores)")
+                       help="cell parallelism (default: all cores)")
     p_swp.add_argument("--csv", default=None)
     p_swp.set_defaults(func=_cmd_sweep)
 

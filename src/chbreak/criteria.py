@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .grid import Field, deriv, h1_norm_sq, interp
-from .model import DissipationProfile, InitialDatum, bounded_forcing
+from .model import InitialDatum
 from .riccati import omega_bound, two_sided_bound
 
 
@@ -104,8 +104,8 @@ def _assess(kind: str, delta: float, energy: float, point: float, slope: float,
 
 def check_criterion1(u0: Field, delta: float) -> CriterionReport:
     """Slope-only criterion at the grid argmin of the initial slope."""
-    energy = h1_norm_sq(u0)
     ux = deriv(u0)
+    energy = h1_norm_sq(u0, ux)
     j = int(np.argmin(ux.values))
     return _assess("slope_only", delta, energy, float(u0.grid.x[j]),
                    float(ux.values[j]), float(u0.values[j]))
@@ -119,38 +119,11 @@ def check_criterion2(u0: Field, delta: float, point: float | None = None) -> Cri
     transport speed ceiling sqrt(E0/2), and the interval that must contain
     the breaking location.
     """
-    energy = h1_norm_sq(u0)
     ux = deriv(u0)
+    energy = h1_norm_sq(u0, ux)
     if point is None:
         j = int(np.argmin(ux.values + np.abs(u0.values)))
         return _assess("mixed", delta, energy, float(u0.grid.x[j]),
                        float(ux.values[j]), float(u0.values[j]))
     point = float(point)
     return _assess("mixed", delta, energy, point, interp(ux, point), interp(u0, point))
-
-
-def _slope_min_and_forcing(u: Field) -> tuple[float, float]:
-    """(m, B) at the slope argmin; ties resolve to the smallest grid point."""
-    ux = deriv(u)
-    j = int(np.argmin(ux.values))
-    return float(ux.values[j]), float(bounded_forcing(u).values[j])
-
-
-def m_prime_rhs(u: Field, t: float, profile: DissipationProfile) -> float:
-    """Instantaneous d/dt of the minimum slope, from the slope equation.
-
-    At the slope argmin the convective term drops, leaving
-    -m^2/2 - lambda m + B.
-    """
-    m, b = _slope_min_and_forcing(u)
-    return -0.5 * m * m - profile.rate(t) * m + b
-
-
-def riccati_forcing(u: Field, t: float, profile: DissipationProfile) -> float:
-    """Forcing felt by the completed-square slope variable m + lambda.
-
-    Equals B at the slope argmin plus lambda^2/2; bounded in magnitude by
-    forcing_constant(E0) + delta^2/2 for as long as the solution is smooth.
-    """
-    lam = profile.rate(t)
-    return _slope_min_and_forcing(u)[1] + 0.5 * lam * lam

@@ -35,6 +35,12 @@ _LAGRANGE = np.array([
 ])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a itself, with in-place writes switched off."""
+    a.flags.writeable = False
+    return a
+
+
 def _exp_moments(z: float, count: int = 4) -> np.ndarray:
     """Moments I_p = integral_0^1 tau^p e^(z tau) dtau for p < count.
 
@@ -66,7 +72,10 @@ def _exp_moments(z: float, count: int = 4) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [-half_length, half_length)."""
+    """Uniform periodic grid on [-half_length, half_length).
+
+    Every cached array is read-only: one Grid serves every field on it.
+    """
 
     half_length: float
     n_points: int
@@ -83,12 +92,12 @@ class Grid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        return -self.half_length + self.dx * np.arange(self.n_points)
+        return _read_only(-self.half_length + self.dx * np.arange(self.n_points))
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         # rfft wavenumbers for period 2L: k_j = pi j / L
-        return (np.pi / self.half_length) * np.arange(self.n_points // 2 + 1)
+        return _read_only((np.pi / self.half_length) * np.arange(self.n_points // 2 + 1))
 
     @cached_property
     def kc(self) -> int:
@@ -97,26 +106,22 @@ class Grid:
 
     @cached_property
     def ik(self) -> np.ndarray:
-        """Symbol of d/dx, read-only. Its Nyquist entry is 0 so the
-        derivative matrix stays skew-symmetric, which the discrete energy
-        identity relies on."""
+        """Symbol of d/dx. Its Nyquist entry is 0 so the derivative matrix
+        stays skew-symmetric, which the discrete energy identity relies on."""
         s = 1j * self.wavenumbers
         s[-1] = 0.0
-        s.flags.writeable = False
-        return s
+        return _read_only(s)
 
     @cached_property
     def minus_k2(self) -> np.ndarray:
-        """Symbol of d^2/dx^2, read-only."""
+        """Symbol of d^2/dx^2."""
         k = self.wavenumbers
-        s = -(k * k)
-        s.flags.writeable = False
-        return s
+        return _read_only(-(k * k))
 
     @cached_property
     def helmholtz_multiplier(self) -> np.ndarray:
         k = self.wavenumbers
-        return 1.0 / (1.0 + k * k)
+        return _read_only(1.0 / (1.0 + k * k))
 
     @cached_property
     def _conv_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -130,14 +135,14 @@ class Grid:
         h = self.dx
         w_right = h * np.exp(-h) * (_LAGRANGE @ _exp_moments(h))
         w_left = h * (_LAGRANGE @ _exp_moments(-h))
-        return w_right, w_left
+        return _read_only(w_right), _read_only(w_left)
 
     @cached_property
     def _march_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """e^(j dx) and e^(-j dx) over one chunk of _exp_march (a span of at
         most 300), the second one entry longer: it ends in the carry's decay."""
         j = self.dx * np.arange(min(self.n_points, int(300.0 / self.dx) + 1) + 1)
-        return np.exp(j[:-1]), np.exp(-j)
+        return _read_only(np.exp(j[:-1])), _read_only(np.exp(-j))
 
     def __str__(self) -> str:
         return f"Grid(L={self.half_length:g}, N={self.n_points})"
@@ -160,9 +165,7 @@ class Field:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n_points,):
             raise ValueError(f"values shape {v.shape} does not match grid with N={self.grid.n_points}")
-        v = v.view()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(v.view()))
 
     def _match(self, other: "Field") -> None:
         if other.grid != self.grid:
@@ -201,21 +204,13 @@ class Field:
         coeffs = tiles[:count]
         coeffs[:] = np.fft.rfft(self.values)
         coeffs[1:-1] *= 2.0
-        tiles.flags.writeable = False
-        return tiles.reshape(-1, _TILE_ROWS, _FINE)
-
-    @property
-    def weighted_spectrum(self) -> np.ndarray:
-        """The modes k = 0..N/2 of spectrum_tiles, a read-only view."""
-        return self.spectrum_tiles.reshape(-1)[:self.grid.n_points // 2 + 1]
+        return _read_only(tiles).reshape(-1, _TILE_ROWS, _FINE)
 
     @cached_property
     def smoothed_values(self) -> np.ndarray:
         """(1 - d_xx)^(-1) of the values, read-only, cached like spectrum_tiles."""
-        s = np.fft.irfft(np.fft.rfft(self.values) * self.grid.helmholtz_multiplier,
-                         self.grid.n_points)
-        s.flags.writeable = False
-        return s
+        spectrum = np.fft.rfft(self.values) * self.grid.helmholtz_multiplier
+        return _read_only(np.fft.irfft(spectrum, self.grid.n_points))
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -415,10 +410,8 @@ def _phases(theta: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
 def _point_phases(half_length: float, count: int,
                   points: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """_phases of a tuple of points of [-half_length, half_length), read-only."""
-    tables = _phases((np.array(points) + half_length) * (np.pi / half_length), count)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    theta = (np.array(points) + half_length) * (np.pi / half_length)
+    return tuple(map(_read_only, _phases(theta, count)))
 
 
 def interp(f: Field, points) -> np.ndarray | float:

@@ -33,7 +33,6 @@ class OdeTrajectory:
     values: np.ndarray
     blew_up: bool
     fit: RateEstimate | None
-    requested_values: np.ndarray | None = None
 
     @property
     def t_blowup(self) -> float | None:
@@ -60,10 +59,6 @@ class CoupledTrajectory:
     @property
     def t_blowup(self) -> float | None:
         return None if self.fit is None else self.fit.t_star
-
-    def geometric_mean(self) -> np.ndarray:
-        """sqrt(-rising * falling); nan where the product has the wrong sign."""
-        return geometric_mean(self.rising, self.falling)
 
 
 def omega_bound(delta: float, forcing: float, omega0: float) -> float | None:
@@ -171,24 +166,16 @@ def solve_omega(
     forcing: float,
     omega0: float,
     t_max: float = 20.0,
-    sample_times=None,
 ) -> OdeTrajectory:
     """Integrate the scalar comparison problem with slope-adapted RK4 steps.
 
     Steps shrink like STEP_SCALE / |omega| so the divergence is tracked all
-    the way to the cutoff. When sample_times is given, values at those times
-    are returned as well (linear interpolation of the dense solution, nan
-    past the blow-up cutoff).
+    the way to the cutoff.
     """
     fun = lambda _t, y: -delta * y - 0.5 * y * y + forcing
     ts_arr, (ys_arr, _), blew = _march(fun, float(omega0), t_max)
     fit = reciprocal_blowup_fit(ts_arr, ys_arr) if blew else None
-    req_v = None
-    if sample_times is not None:
-        req_t = np.asarray(sample_times, dtype=float)
-        req_v = np.interp(req_t, ts_arr, ys_arr, left=np.nan, right=np.nan)
-        req_v[req_t > ts_arr[-1]] = np.nan
-    return OdeTrajectory(ts_arr, ys_arr, blew, fit, req_v)
+    return OdeTrajectory(ts_arr, ys_arr, blew, fit)
 
 
 def solve_coupled(

@@ -257,7 +257,8 @@ def run(cfg: SolverConfig, sink=None) -> RunOutcome:
                 # the track channels need the one-sided kernels; once their
                 # input stops decaying the tracks end, and the run goes on
                 # as it would have without them
-                pass
+                for track in tracks:
+                    track.stopped_at = track.times[-1]
             else:
                 advance(tracks, aux, aux_new)
         aux = aux_new   # None from here on once the tracks have ended

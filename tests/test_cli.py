@@ -77,6 +77,29 @@ value = 0.0
 t_end = 1.0
 """
 
+# the one-sided kernels reject the flux after 4 live steps and the run loses
+# edge decay 3 steps later: the seeded track ends before the run does
+TRACKS_END = """\
+[grid]
+half_length = 30.0
+n_points = 2048
+
+[datum]
+family = gaussian_derivative
+amplitude = 2.0
+width = 0.2
+
+[dissipation]
+kind = constant
+value = 0.0
+
+[solver]
+t_end = 4.0
+
+[characteristics]
+seeds = 0.0
+"""
+
 
 @pytest.fixture
 def smooth_cfg(tmp_path):
@@ -198,6 +221,22 @@ class TestSimulate:
         for tr in payload["tracks"]:
             assert tr["n_samples"] > 0
             assert not tr["edge_contaminated"]
+            assert tr["stopped_at"] is None   # the tracks lasted the run
+
+    def test_track_that_ends_early_reports_its_last_sample(self, tmp_path):
+        p = tmp_path / "tracks_end.ini"
+        p.write_text(TRACKS_END)
+        summary, records = tmp_path / "summary.json", tmp_path / "records.csv"
+        assert main(["simulate", str(p), "--summary-json", str(summary),
+                     "--records-csv", str(records)]) == 3
+        with open(summary) as fh:
+            payload = json.load(fh)
+        (track,) = payload["tracks"]
+        assert payload["outcome"] == "edge_decay_lost"
+        assert track["n_samples"] == 5 < payload["steps"]["live"] + 1
+        # the time of the fifth record, one per live step from t = 0
+        assert track["stopped_at"] == float(_read_csv(records)[5][0])
+        assert track["stopped_at"] < payload["t_final"]
 
     def test_seed_at_the_left_end_is_inside(self, tmp_path):
         p = tmp_path / "seeded.ini"
@@ -343,17 +382,15 @@ class TestSweep:
         assert "constant dissipation" in capsys.readouterr().err
 
     def test_worker_count_precedence(self, monkeypatch):
-        monkeypatch.delenv("CHBREAK_WORKERS", raising=False)
         assert _workers(4) == 4
         assert _workers(0) == 1
-        monkeypatch.setenv("CHBREAK_WORKERS", "3")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert _workers(None) == 3
         assert _workers(2) == 2
-        monkeypatch.delenv("CHBREAK_WORKERS")
-        assert _workers(None) >= 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _workers(None) == 1
 
-
-    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("source", ["flag", "cores"])
     def test_pool_capped_at_cell_count(self, smooth_cfg, monkeypatch, source):
         # a fork pool starts all max_workers processes at the first submit
         sizes = []
@@ -372,7 +409,7 @@ class TestSweep:
                 return map(fn, cells)
 
         monkeypatch.setattr(chbreak.cli, "ProcessPoolExecutor", NoProcessPool)
-        monkeypatch.setenv("CHBREAK_WORKERS", "5000")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5000)
         argv = ["sweep", smooth_cfg, "--amplitudes", "0.3 0.35", "--widths", "1.0"]
         assert main(argv + (["--workers", "5000"] if source == "flag" else [])) == 0
         assert sizes == [2]
@@ -403,12 +440,6 @@ def _one_error_line(capsys) -> str:
 
 
 class TestBadInputExitsTwo:
-    def test_non_integer_worker_count(self, smooth_cfg, monkeypatch, capsys):
-        monkeypatch.setenv("CHBREAK_WORKERS", "abc")
-        assert main(["sweep", smooth_cfg, "--amplitudes", "0.3",
-                     "--widths", "1.0"]) == 2
-        assert "CHBREAK_WORKERS" in _one_error_line(capsys)
-
     @pytest.mark.parametrize("command,flag", [
         ("simulate", "--records-csv"), ("simulate", "--summary-json"),
         ("simulate", "--plots-dir"), ("riccati", "--csv"), ("criteria", "--json"),

@@ -20,14 +20,13 @@ from chbreak import (
     find_breaking_datum,
     forcing_constant,
     h1_norm_sq,
-    m_prime_rhs,
     make_datum,
-    riccati_forcing,
     slope_rhs,
     slope_threshold,
     step,
 )
 from chbreak import criteria
+from slope_law import slope_law_at_argmin
 
 GRID = Grid(30.0, 1024)
 FINE = Grid(30.0, 4096)   # the supercritical search picks narrow widths
@@ -164,6 +163,16 @@ class TestCriterion2:
         assert rep.g0 is None and rep.location is None and rep.t_bound is None
 
 
+@pytest.mark.parametrize("check", [check_criterion1, check_criterion2])
+def test_one_deriv_serves_slope_and_energy(check, fft_lengths):
+    # an rfft and an irfft of length N, and the energy h1_norm_sq takes alone
+    u = _field(InitialDatum("gaussian_derivative", amplitude=2.0, width=0.5))
+    fft_lengths.clear()   # make_datum's own transforms
+    rep = check(u, 0.1)
+    assert fft_lengths == [GRID.n_points] * 2
+    assert rep.energy == h1_norm_sq(u)
+
+
 class TestSlopeLaw:
     grid = Grid(30.0, 1024)
     datum = InitialDatum("gaussian_derivative", amplitude=0.8, width=1.3, center=0.7)
@@ -182,7 +191,8 @@ class TestSlopeLaw:
         worst = 0.0
         for i in range(1, len(ts) - 1):
             fd = (ms[i + 1] - ms[i - 1]) / (ts[i + 1] - ts[i - 1])
-            worst = max(worst, abs(fd - m_prime_rhs(us[i], ts[i], self.profile)))
+            m_rate = slope_law_at_argmin(us[i], self.profile.rate(ts[i]))[0]
+            worst = max(worst, abs(fd - m_rate))
         assert worst < 5e-3    # centered differences plus argmin grid hops
 
     def test_agrees_with_slope_rhs_at_argmin(self):
@@ -192,7 +202,7 @@ class TestSlopeLaw:
         u = make_datum(InitialDatum("gaussian_derivative", amplitude=0.1, width=2.2), g)
         prof = DissipationProfile.constant(0.0)
         j = int(np.argmin(deriv(u).values))
-        gap = abs(slope_rhs(u, 0.0, prof).values[j] - m_prime_rhs(u, 0.0, prof))
+        gap = abs(slope_rhs(u, 0.0, prof).values[j] - slope_law_at_argmin(u, 0.0)[0])
         assert gap < 1e-6
 
     def test_riccati_upper_envelope(self):
@@ -204,7 +214,7 @@ class TestSlopeLaw:
         for _ in range(12):
             state = step(state, cfg)
             m = float(np.min(deriv(state.u).values))
-            lhs = m_prime_rhs(state.u, state.t, self.profile)
+            lhs = slope_law_at_argmin(state.u, self.profile.rate(state.t))[0]
             rhs_cap = -self.profile.rate(state.t) * m - 0.5 * m * m + k0
             assert lhs <= rhs_cap + 1e-6
 
@@ -220,11 +230,11 @@ class TestRiccatiForcing:
                                     width=width), GRID)
         prof = DissipationProfile.constant(delta)
         ceiling = forcing_constant(h1_norm_sq(u)) + 0.5 * delta * delta
-        assert abs(riccati_forcing(u, 0.0, prof)) <= ceiling * (1.0 + 1e-6)
+        assert abs(slope_law_at_argmin(u, prof.rate(0.0))[1]) <= ceiling * (1.0 + 1e-6)
 
     def test_lambda_term(self):
         u = make_datum(InitialDatum("gaussian_derivative", amplitude=0.5,
                                     width=1.0), GRID)
-        quiet = riccati_forcing(u, 0.0, DissipationProfile.constant(0.0))
-        damped = riccati_forcing(u, 0.0, DissipationProfile.constant(0.6))
+        quiet = slope_law_at_argmin(u, DissipationProfile.constant(0.0).rate(0.0))[1]
+        damped = slope_law_at_argmin(u, DissipationProfile.constant(0.6).rate(0.0))[1]
         assert damped - quiet == pytest.approx(0.18, rel=1e-12)

@@ -99,6 +99,18 @@ class TestGridBasics:
         with pytest.raises(ValueError):
             Grid(half_length, 256)
 
+    @pytest.mark.parametrize("name", ["x", "wavenumbers", "helmholtz_multiplier",
+                                      "_conv_weights", "_march_tables"])
+    def test_cached_arrays_are_read_only(self, name):
+        # every field on a Grid reads the same caches, so one write through
+        # them would shift every later datum and kernel on that instance
+        g = Grid(30.0, 64)
+        cache = getattr(g, name)
+        assert getattr(g, name) is cache
+        for array in cache if isinstance(cache, tuple) else (cache,):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+
 
 class TestDerivatives:
     @pytest.mark.parametrize("j", [1, 5, 113])
@@ -409,11 +421,17 @@ class TestInterpSpectrumCache:
         assert np.max(np.abs(rebuilt - direct)) < PHASE_TOL
 
     def test_cached_spectrum_is_weighted_rfft_bit_for_bit(self):
-        g = Grid(L, 1024)
-        # white noise, so the Nyquist mode (counted once) is nonzero
-        u = Field(g, np.random.default_rng(4).standard_normal(g.n_points))
-        expect = _interp_weights(g) * np.fft.rfft(u.values)
-        assert np.array_equal(u.weighted_spectrum, expect)
+        # at N = 8192 the Nyquist mode starts a tile of its own
+        for n_points in (1024, 8192):
+            g = Grid(L, n_points)
+            count = g.n_points // 2 + 1
+            # white noise, so the Nyquist mode (counted once) is nonzero
+            u = Field(g, np.random.default_rng(4).standard_normal(g.n_points))
+            expect = _interp_weights(g) * np.fft.rfft(u.values)
+            tiles = u.spectrum_tiles
+            assert tiles.shape[1:] == (32, 64)
+            assert np.array_equal(tiles.reshape(-1)[:count], expect)
+            assert not np.any(tiles.reshape(-1)[count:])   # zero padding
 
     def test_spectrum_transformed_once_per_field(self, monkeypatch):
         g = Grid(L, 512)
@@ -492,7 +510,6 @@ class TestInterpSpectrumCache:
 
     def test_cached_row_is_read_only(self):
         # both phase tables of a point set, and the field's spectrum tiles
-        # with the weighted_spectrum view of them
         for n_points in (256, 16384):
             g = Grid(L, n_points)
             u = _band_noise(g)
@@ -501,18 +518,9 @@ class TestInterpSpectrumCache:
             tables = _point_phases(g.half_length, g.n_points // 2 + 1, (0.4,))
             assert _point_phases.cache_info().hits == hits + 1
             assert len(tables) == 2
-            for table in (*tables, u.spectrum_tiles, u.weighted_spectrum):
+            for table in (*tables, u.spectrum_tiles):
                 with pytest.raises(ValueError):
                     table[(0,) * table.ndim] = 0.0
-
-    def test_weighted_spectrum_is_a_view_of_the_tiles(self):
-        g = Grid(L, 8192)
-        u = _band_noise(g, seed=19)
-        tiles = u.spectrum_tiles
-        assert tiles.shape[1:] == (32, 64)
-        assert np.shares_memory(u.weighted_spectrum, tiles)
-        assert u.weighted_spectrum.size == g.n_points // 2 + 1
-        assert not np.any(tiles.reshape(-1)[g.n_points // 2 + 1:])
 
     def test_runs_on_other_grids_between_leave_tracks_unchanged(self):
         def tracks(grid):

@@ -13,6 +13,7 @@ from chbreak import (
     solve_omega,
     two_sided_bound,
 )
+from chbreak.diagnostics import geometric_mean
 from chbreak.riccati import DIVERGENCE, STEP_SCALE, rk4
 
 LOG3 = 1.0986122886681098
@@ -118,17 +119,21 @@ class TestSolveOmega:
         assert traj.fit.t_star == pytest.approx(2.0, abs=1e-4)
         assert traj.fit.rate == pytest.approx(-2.0, abs=1e-3)
         assert np.all(np.diff(traj.ts) > 0.0)
+        # omega = 2/(t - 2) along the march, up to the steep end
+        early, mid, late = np.interp([0.0, 1.0, 1.9], traj.ts, traj.values)
+        assert early == pytest.approx(-1.0, abs=1e-12)
+        assert mid == pytest.approx(-2.0, abs=1e-3)
+        assert late == pytest.approx(-20.0, abs=2e-2)
 
     def test_equality_ode(self):
         # delta=0, K=2, omega0=-4 maps to f' = f^2 - 1, f0 = 2 under
         # omega = -2 f, whose blow-up time is exactly (1/2) log 3
-        traj = solve_omega(0.0, 2.0, -4.0,
-                           sample_times=[0.3])
+        traj = solve_omega(0.0, 2.0, -4.0)
         assert traj.blew_up
         assert traj.fit.t_star == pytest.approx(HALF_LOG3, abs=1e-3)
         t0 = HALF_LOG3
         exact = -2.0 / math.tanh(t0 - 0.3)
-        assert traj.requested_values[0] == pytest.approx(exact, abs=1e-3)
+        assert np.interp(0.3, traj.ts, traj.values) == pytest.approx(exact, abs=1e-3)
         assert omega_bound(0.0, 2.0, -4.0) == pytest.approx(HALF_LOG3, rel=1e-12)
 
     @pytest.mark.parametrize("delta,forcing,omega0", [
@@ -171,14 +176,6 @@ class TestSolveOmega:
         assert np.array_equal(traj.ts, ts)
         assert np.array_equal(traj.values, ys[:, 0])
 
-    def test_sampling_past_blowup_is_nan(self):
-        traj = solve_omega(0.0, 0.0, -1.0, sample_times=[0.0, 1.0, 1.9, 5.0])
-        vals = traj.requested_values
-        assert vals[0] == pytest.approx(-1.0, abs=1e-12)
-        assert vals[1] == pytest.approx(-2.0, abs=1e-3)      # omega = 2/(t-2)
-        assert vals[2] == pytest.approx(-20.0, abs=2e-2)
-        assert math.isnan(vals[3])
-
 
 class TestSolveCoupled:
     @pytest.mark.parametrize("delta,forcing,rising0,falling0,t_max", [
@@ -208,7 +205,7 @@ class TestSolveCoupled:
         assert traj.falling[-1] <= -1e8 * (1.0 - 1e-9)
         assert np.all(np.diff(traj.rising) > 0.0)
         assert np.all(np.diff(traj.falling) < 0.0)
-        g = traj.geometric_mean()
+        g = geometric_mean(traj.rising, traj.falling)
         assert np.nanmin(np.diff(g)) > -1e-8
         bound = two_sided_bound(delta, forcing, float(g[0]))
         assert traj.fit.t_star <= bound + 1e-3
@@ -233,7 +230,7 @@ class TestSolveCoupled:
 
     def test_geometric_mean_nan_outside_wedge(self):
         traj = solve_coupled(0.1, 1.0, rising0=1.0, falling0=-1.0, t_max=5.0)
-        g = traj.geometric_mean()
+        g = geometric_mean(traj.rising, traj.falling)
         prod = -traj.rising * traj.falling
         assert np.all(np.isnan(g[prod <= 0.0]))
         ok = prod > 0.0
