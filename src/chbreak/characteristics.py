@@ -193,39 +193,28 @@ class LemmaResidual:
     n_checked: int
 
 
-def _three_point_derivative(ts: np.ndarray, ys: np.ndarray, i: int) -> float:
+def lemma_residual(track: CharacteristicTrack) -> LemmaResidual:
+    ts, us, ws, ru, rw, rua, rwa = (np.asarray(getattr(track, name), dtype=float) for name in (
+        "times", "u_vals", "ux_vals", "rhs_u", "rhs_ux", "rhs_u_alt", "rhs_ux_alt"))
+    ok = np.asarray(track.reliable, dtype=bool)
+    # 3-point derivative at each interior sample whose neighbours are reliable too
+    i = np.flatnonzero(ok[:-2] & ok[1:-1] & ok[2:]) + 1
     t0, t1, t2 = ts[i - 1], ts[i], ts[i + 1]
-    y0, y1, y2 = ys[i - 1], ys[i], ys[i + 1]
     d0 = (t1 - t2) / ((t0 - t1) * (t0 - t2))
     d1 = 1.0 / (t1 - t0) + 1.0 / (t1 - t2)
     d2 = (t1 - t0) / ((t2 - t0) * (t2 - t1))
-    return y0 * d0 + y1 * d1 + y2 * d2
+    gap = ok & np.isfinite(rua)
 
+    def worst(diff, scale):
+        # NaN terms are skipped, so they never raise the maximum
+        return float(np.fmax.reduce(np.abs(diff) / np.fmax(1.0, np.abs(scale)), initial=0.0))
 
-def lemma_residual(track: CharacteristicTrack) -> LemmaResidual:
-    ts = np.asarray(track.times)
-    us = np.asarray(track.u_vals)
-    ws = np.asarray(track.ux_vals)
-    ru = np.asarray(track.rhs_u)
-    rw = np.asarray(track.rhs_ux)
-    rua = np.asarray(track.rhs_u_alt)
-    rwa = np.asarray(track.rhs_ux_alt)
-    ok = np.asarray(track.reliable, dtype=bool)
-    worst_u = worst_w = gap_u = gap_w = 0.0
-    n = 0
-    for i in range(1, ts.size - 1):
-        if not (ok[i - 1] and ok[i] and ok[i + 1]):
-            continue
-        worst_u = max(worst_u, abs(_three_point_derivative(ts, us, i) - ru[i])
-                      / max(1.0, abs(ru[i])))
-        worst_w = max(worst_w, abs(_three_point_derivative(ts, ws, i) - rw[i])
-                      / max(1.0, abs(rw[i])))
-        n += 1
-    for i in range(ts.size):
-        if ok[i] and math.isfinite(rua[i]):
-            gap_u = max(gap_u, abs(ru[i] - rua[i]) / max(1.0, abs(ru[i])))
-            gap_w = max(gap_w, abs(rw[i] - rwa[i]) / max(1.0, abs(rw[i])))
-    return LemmaResidual(worst_u, worst_w, gap_u, gap_w, n)
+    return LemmaResidual(
+        worst(us[i - 1] * d0 + us[i] * d1 + us[i + 1] * d2 - ru[i], ru[i]),
+        worst(ws[i - 1] * d0 + ws[i] * d1 + ws[i + 1] * d2 - rw[i], rw[i]),
+        worst(ru[gap] - rua[gap], ru[gap]),
+        worst(rw[gap] - rwa[gap], rw[gap]),
+        i.size)
 
 
 def diffeo_factor(track: CharacteristicTrack) -> np.ndarray:

@@ -30,9 +30,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
+from .characteristics import diffeo_factor, lemma_residual
 from .config import RunConfig, emit_config, load_config
 from .criteria import check_criterion1, check_criterion2
-from .diagnostics import estimate_blowup
+from .diagnostics import estimate_blowup, track_rate
 from .errors import ChbreakError, ConfigError
 from .model import DissipationProfile, make_datum
 from .riccati import omega_bound, solve_coupled, solve_omega, two_sided_bound
@@ -130,7 +131,9 @@ def _run_summary(cfg: RunConfig, outcome, est) -> dict:
         "tracks": [
             {"seed": tr.seed, "n_samples": tr.n_samples,
              "edge_contaminated": tr.edge_contaminated, "stopped_at": tr.stopped_at,
-             "final_position": tr.positions[-1], "final_slope": tr.ux_vals[-1]}
+             "final_position": tr.positions[-1], "final_slope": tr.ux_vals[-1],
+             "evidence": lemma_residual(tr), "min_flow_factor": np.min(diffeo_factor(tr)),
+             "blowup": track_rate(tr.times, tr.ux_vals)}
             for tr in outcome.tracks
         ],
         "config": emit_config(cfg),
@@ -246,13 +249,14 @@ def _cmd_riccati(args) -> int:
                              t_max=args.t_max)
         g0 = math.sqrt(-args.rising0 * args.falling0)
         bound = two_sided_bound(args.delta, args.forcing, g0)
-        rows.append(("coupled", args.falling0, traj.blew_up, traj.t_blowup, bound))
+        rows.append(("coupled", args.falling0, traj.blew_up, traj.t_blowup, bound,
+                     traj.g_margin))
     else:
         for w0 in args.omega0:
             traj = solve_omega(args.delta, args.forcing, w0, t_max=args.t_max)
             bound = omega_bound(args.delta, args.forcing, w0)
-            rows.append(("scalar", w0, traj.blew_up, traj.t_blowup, bound))
-    lines = [["case", "start", "blew_up", "t_numeric", "t_bound"]]
+            rows.append(("scalar", w0, traj.blew_up, traj.t_blowup, bound, None))
+    lines = [["case", "start", "blew_up", "t_numeric", "t_bound", "g_margin"]]
     lines += [[_csv_cell(v) for v in row] for row in rows]
     for line in lines:
         print(",".join(line))

@@ -143,7 +143,6 @@ class RunOutcome:
     live_steps: int = 0         # accepted RK4 steps of the band-limited system
     dt_halvings: int = 0        # halvings inside those accepted steps
     continued_steps: int = 0    # steps of the frozen-field continuation
-    config: SolverConfig | None = None
 
 
 def _rk4(u: Field, t: float, dt: float, profile: DissipationProfile,
@@ -226,7 +225,7 @@ def run(cfg: SolverConfig, sink=None) -> RunOutcome:
     m, j, energy = _measure(u, aux)
     outcome = RunOutcome(
         kind="reached_horizon", t_final=0.0, records=records, tracks=tracks,
-        energy0=energy, dissipative=profile.is_dissipative(cfg.t_end), config=cfg)
+        energy0=energy, dissipative=profile.is_dissipative(cfg.t_end))
 
     def emit(t, energy, m, x_at, sup, dt, live) -> None:
         rec = _record(t, energy, m, x_at, sup, dt, profile)

@@ -1,6 +1,7 @@
 """Flow-map tracks: transport laws, dual routes, the two-sided structure, diffeo factor."""
 
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from chbreak import (
     Field,
     Grid,
     InitialDatum,
+    LemmaResidual,
     SolverConfig,
     bounded_forcing,
     build_aux,
@@ -230,6 +232,43 @@ class TestBreakingTrack:
             assert math.isfinite(v)
 
 
+class TestLemmaResidualMatchesTheLoop:
+    """lemma_residual over whole arrays against the per-sample loop it
+    replaced, kept below as the reference route: bit for bit."""
+
+    def test_smooth_tracks(self, smooth_runs):
+        for out in smooth_runs.values():
+            for tr in out.tracks:
+                _assert_same_bits(lemma_residual(tr), _lemma_residual_loop(tr))
+
+    def test_breaking_track_with_unreliable_samples(self, breaking_run):
+        tr = breaking_run.tracks[0]
+        assert not all(tr.reliable)
+        _assert_same_bits(lemma_residual(tr), _lemma_residual_loop(tr))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_short_tracks(self, smooth_runs, n):
+        tr = _first_samples(smooth_runs[0.3].tracks[0], n)
+        assert tr.n_samples == n
+        r = lemma_residual(tr)
+        _assert_same_bits(r, _lemma_residual_loop(tr))
+        assert r.max_resid_u == r.max_resid_ux == 0.0 and r.n_checked == 0
+        assert (r.route_gap_u > 0.0) == (n > 0)
+
+    def test_nan_rhs_never_raises_a_maximum(self, smooth_runs):
+        tr = _first_samples(smooth_runs[0.3].tracks[0], 6)
+        assert all(tr.reliable)
+        tr.rhs_u[2] = math.nan
+        r = lemma_residual(tr)
+        _assert_same_bits(r, _lemma_residual_loop(tr))
+        assert r.n_checked == 4
+        assert all(math.isfinite(v) for v in astuple(r))
+        # the NaN sample's terms drop out; the other samples' terms stay
+        clean = _first_samples(smooth_runs[0.3].tracks[0], 6)
+        assert r.max_resid_ux == lemma_residual(clean).max_resid_ux
+        assert 0.0 < r.max_resid_u <= lemma_residual(clean).max_resid_u
+
+
 class TestEdgeContamination:
     def test_seed_near_boundary_flagged(self):
         cfg = SolverConfig(grid=Grid(30.0, 1024),
@@ -347,6 +386,54 @@ class TestFrozenPhaseOfARun:
             args[6] is not None) or advance_frozen(*args[:6]))
         assert repr(run(cfg).tracks) == repr(out.tracks)
         assert handed == [False] + [True] * (out.continued_steps - 1)
+
+
+def _three_point_derivative(ts, ys, i):
+    t0, t1, t2 = ts[i - 1], ts[i], ts[i + 1]
+    y0, y1, y2 = ys[i - 1], ys[i], ys[i + 1]
+    d0 = (t1 - t2) / ((t0 - t1) * (t0 - t2))
+    d1 = 1.0 / (t1 - t0) + 1.0 / (t1 - t2)
+    d2 = (t1 - t0) / ((t2 - t0) * (t2 - t1))
+    return y0 * d0 + y1 * d1 + y2 * d2
+
+
+def _lemma_residual_loop(track):
+    """The per-sample lemma_residual made before it took whole arrays,
+    kept as the reference."""
+    ts = np.asarray(track.times)
+    us = np.asarray(track.u_vals)
+    ws = np.asarray(track.ux_vals)
+    ru = np.asarray(track.rhs_u)
+    rw = np.asarray(track.rhs_ux)
+    rua = np.asarray(track.rhs_u_alt)
+    rwa = np.asarray(track.rhs_ux_alt)
+    ok = np.asarray(track.reliable, dtype=bool)
+    worst_u = worst_w = gap_u = gap_w = 0.0
+    n = 0
+    for i in range(1, ts.size - 1):
+        if not (ok[i - 1] and ok[i] and ok[i + 1]):
+            continue
+        worst_u = max(worst_u, abs(_three_point_derivative(ts, us, i) - ru[i])
+                      / max(1.0, abs(ru[i])))
+        worst_w = max(worst_w, abs(_three_point_derivative(ts, ws, i) - rw[i])
+                      / max(1.0, abs(rw[i])))
+        n += 1
+    for i in range(ts.size):
+        if ok[i] and math.isfinite(rua[i]):
+            gap_u = max(gap_u, abs(ru[i] - rua[i]) / max(1.0, abs(ru[i])))
+            gap_w = max(gap_w, abs(rw[i] - rwa[i]) / max(1.0, abs(rw[i])))
+    return LemmaResidual(worst_u, worst_w, gap_u, gap_w, n)
+
+
+def _assert_same_bits(got, want):
+    assert np.array(astuple(got)[:4]).tobytes() == np.array(astuple(want)[:4]).tobytes()
+    assert got.n_checked == want.n_checked
+
+
+def _first_samples(track, n):
+    """A copy of the track cut to its first n samples."""
+    return replace(track, **{name: list(getattr(track, name)[:n]) for name in (
+        "times", *characteristics._CHANNELS, "reliable")})
 
 
 def _live_aux_pair():

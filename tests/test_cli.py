@@ -2,6 +2,7 @@
 
 import csv
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -10,12 +11,14 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import chbreak
 import chbreak.cli
+from chbreak import diffeo_factor, lemma_residual, load_config, run, track_rate
 from chbreak.cli import CSV_COLUMNS, SWEEP_COLUMNS, _workers, main
-from chbreak.riccati import two_sided_bound
+from chbreak.riccati import solve_coupled, two_sided_bound
 
 SRC = os.path.dirname(os.path.dirname(chbreak.__file__))
 
@@ -111,6 +114,29 @@ def smooth_cfg(tmp_path):
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _summary_tracks_and_run(tmp_path, text, code):
+    """simulate's summary tracks for a config, and run() of the same config."""
+    p = tmp_path / "seeded.ini"
+    p.write_text(text)
+    summary = tmp_path / "summary.json"
+    assert main(["simulate", str(p), "--summary-json", str(summary)]) == code
+    with open(summary) as fh:
+        return json.load(fh)["tracks"], run(load_config(str(p)))
+
+
+def _library_evidence(track):
+    """A track's evidence keys as the library computes them, in JSON's types."""
+    fit = track_rate(track.times, track.ux_vals)
+    return {"evidence": dataclasses.asdict(lemma_residual(track)),
+            "min_flow_factor": float(np.min(diffeo_factor(track))),
+            "blowup": None if fit is None else {**dataclasses.asdict(fit),
+                                                 "window": list(fit.window)}}
+
+
+def _summary_evidence(entry):
+    return {key: entry[key] for key in ("evidence", "min_flow_factor", "blowup")}
 
 
 class TestSimulate:
@@ -238,6 +264,26 @@ class TestSimulate:
         assert track["stopped_at"] == float(_read_csv(records)[5][0])
         assert track["stopped_at"] < payload["t_final"]
 
+    def test_tracks_report_their_evidence(self, tmp_path):
+        # one seed at the front, one off it
+        tracks, outcome = _summary_tracks_and_run(
+            tmp_path, BREAKING + "\n[characteristics]\nseeds = 0.0 1.0\n", 0)
+        assert outcome.kind == "breaking_detected"
+        assert [_summary_evidence(e) for e in tracks] == [
+            _library_evidence(tr) for tr in outcome.tracks]
+        front, off = tracks
+        assert -2.2 <= front["blowup"]["rate"] <= -1.8
+        assert off["blowup"] is None
+        assert front["evidence"]["n_checked"] > 0
+        assert 0.0 < front["min_flow_factor"] < off["min_flow_factor"] < 1.0
+
+    def test_track_that_ends_early_reports_its_evidence(self, tmp_path):
+        (entry,), outcome = _summary_tracks_and_run(tmp_path, TRACKS_END, 3)
+        (track,) = outcome.tracks
+        assert track.stopped_at is not None and entry["stopped_at"] == track.stopped_at
+        assert _summary_evidence(entry) == _library_evidence(track)
+        assert entry["evidence"]["n_checked"] == entry["n_samples"] - 2
+
     def test_seed_at_the_left_end_is_inside(self, tmp_path):
         p = tmp_path / "seeded.ini"
         p.write_text(SMOOTH + "\n[characteristics]\nseeds = -30.0\n")
@@ -286,9 +332,9 @@ class TestRiccati:
     def test_scalar_rows(self, capsys):
         assert main(["riccati", "--forcing", "0.0", "--omega0", "-1.0"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "case,start,blew_up,t_numeric,t_bound"
-        kind, start, blew, t_num, bound = lines[1].split(",")
-        assert (kind, start, blew) == ("scalar", "-1.0", "true")
+        assert lines[0] == "case,start,blew_up,t_numeric,t_bound,g_margin"
+        kind, start, blew, t_num, bound, margin = lines[1].split(",")
+        assert (kind, start, blew, margin) == ("scalar", "-1.0", "true", "")
         assert abs(float(t_num) - 2.0) < 1e-3
         assert float(bound) == 2.0
 
@@ -298,23 +344,24 @@ class TestRiccati:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[2] == "true"
-        assert lines[2].split(",")[2:] == ["false", "", ""]
+        assert lines[2].split(",")[2:] == ["false", "", "", ""]
 
     def test_coupled(self, capsys):
         assert main(["riccati", "--coupled", "--delta", "0.1",
                      "--forcing", "1.0"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[1]
-        kind, start, blew, t_num, bound = line.split(",")
+        kind, start, blew, t_num, bound, margin = line.split(",")
         assert (kind, start, blew) == ("coupled", "-3.0", "true")
         expected = two_sided_bound(0.1, 1.0, 3.0)
         assert float(bound) == expected
         assert float(t_num) <= expected + 1e-3
+        assert float(margin) == solve_coupled(0.1, 1.0, 3.0, -3.0).g_margin
 
     def test_settled_run_stops_at_the_fixed_point(self, capsys):
         # omega settles at 2 after about 1,650 steps; 1e7 / 0.02 steps would follow
         assert main(["riccati", "--forcing", "2", "--omega0", "0", "--t-max", "1e7"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[1]
-        assert line.split(",") == ["scalar", "0.0", "false", "", ""]
+        assert line.split(",") == ["scalar", "0.0", "false", "", "", ""]
 
     def test_unsettled_run_hits_the_step_cap(self, capsys):
         # omega decays like 2/t and never settles

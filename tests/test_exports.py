@@ -15,8 +15,6 @@ UNREFERENCED = {
     "slope_rhs": "reference route for build_aux's slope channel",
     "helmholtz_inverse": "reference route for Field.smoothed_values",
     "bounded_forcing": "reference route for the continuation's frozen B field",
-    "lemma_residual": "track evidence of acceptance item 9; ROADMAP item 9 will report it",
-    "diffeo_factor": "track evidence of acceptance item 9; ROADMAP item 9 will report it",
 }
 
 

@@ -30,6 +30,12 @@ from chbreak.characteristics import build_aux
 
 GRID = Grid(30.0, 1024)
 SMOOTH = InitialDatum("gaussian_derivative", amplitude=0.3, width=1.3)
+# breaks: the live phase hands over to the certified continuation
+BREAKING = SolverConfig(
+    grid=Grid(30.0, 4096),
+    datum=InitialDatum("gaussian_derivative", amplitude=2.0, width=0.1),
+    profile=DissipationProfile.constant(0.0),
+    t_end=4.0)
 
 
 def _cfg(**kw):
@@ -41,12 +47,7 @@ def _cfg(**kw):
 
 @pytest.fixture(scope="module")
 def breaking_outcome():
-    cfg = SolverConfig(
-        grid=Grid(30.0, 4096),
-        datum=InitialDatum("gaussian_derivative", amplitude=2.0, width=0.1),
-        profile=DissipationProfile.constant(0.0),
-        t_end=4.0)
-    out = run(cfg)
+    out = run(BREAKING)
     assert out.kind == "breaking_detected"
     return out
 
@@ -233,7 +234,7 @@ class TestTrackAuxReuse:
 
     def test_seeded_run_writes_the_unseeded_records(self, breaking_outcome):
         # the tracks ride along; every record, live and continued, is the same
-        seeded = run(replace(breaking_outcome.config, seeds=(0.0, 0.3, -1.0)))
+        seeded = run(replace(BREAKING, seeds=(0.0, 0.3, -1.0)))
         assert seeded.kind == breaking_outcome.kind
         assert seeded.continued_steps > 0
         assert repr(seeded.records) == repr(breaking_outcome.records)
