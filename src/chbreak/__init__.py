@@ -38,20 +38,16 @@ from .grid import (
     conv_P_plus,
     deriv,
     h1_norm_sq,
-    helmholtz_inverse,
     interp,
-    second_deriv,
     smoothed_edge_decay,
     tail_fraction,
 )
 from .model import (
     DissipationProfile,
     InitialDatum,
-    bounded_forcing,
     find_breaking_datum,
     make_datum,
     rhs,
-    slope_rhs,
 )
 from .riccati import (
     CoupledTrajectory,
@@ -99,7 +95,6 @@ __all__ = [
     "SolverState",
     "advance",
     "band_limit",
-    "bounded_forcing",
     "build_aux",
     "check_criterion1",
     "check_criterion2",
@@ -114,7 +109,6 @@ __all__ = [
     "find_breaking_datum",
     "forcing_constant",
     "h1_norm_sq",
-    "helmholtz_inverse",
     "interp",
     "lemma_residual",
     "load_config",
@@ -123,8 +117,6 @@ __all__ = [
     "parse_config",
     "rhs",
     "run",
-    "second_deriv",
-    "slope_rhs",
     "slope_threshold",
     "smoothed_edge_decay",
     "solve_coupled",

@@ -46,8 +46,9 @@ def build_aux(u: Field, t: float, profile: DissipationProfile,
               edge_tol: float) -> TrackAux:
     """Every per-step field the tracks read, from one pass of the kernel.
 
-    ux, uxx, rhs_field and slope_field equal deriv, second_deriv, rhs and
-    slope_rhs of u bit for bit; they only share that pass.
+    ux and rhs_field equal deriv and rhs of u bit for bit; they only share
+    that pass. uxx is u's spectrum times Grid.minus_k2, and slope_field is
+    the slope law model._slope_rhs_from.
     """
     grid = u.grid
     lam = profile.rate(t)

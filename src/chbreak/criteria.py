@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .grid import Field, deriv, h1_norm_sq, interp
+from .grid import Field, deriv, h1_norm_sq
 from .model import InitialDatum
 from .riccati import omega_bound, two_sided_bound
 
@@ -111,19 +111,16 @@ def check_criterion1(u0: Field, delta: float) -> CriterionReport:
                    float(ux.values[j]), float(u0.values[j]))
 
 
-def check_criterion2(u0: Field, delta: float, point: float | None = None) -> CriterionReport:
-    """Two-sided criterion: slope beats amplitude plus threshold at a point.
+def check_criterion2(u0: Field, delta: float) -> CriterionReport:
+    """Two-sided criterion: slope beats amplitude plus threshold at the grid
+    node minimizing u0' + |u0|.
 
-    With no point given, the grid node minimizing u0' + |u0| is used. When
-    satisfied, the report carries the certified breaking-time bound, the
-    transport speed ceiling sqrt(E0/2), and the interval that must contain
-    the breaking location.
+    When satisfied, the report carries the certified breaking-time bound,
+    the transport speed ceiling sqrt(E0/2), and the interval that must
+    contain the breaking location.
     """
     ux = deriv(u0)
     energy = h1_norm_sq(u0, ux)
-    if point is None:
-        j = int(np.argmin(ux.values + np.abs(u0.values)))
-        return _assess("mixed", delta, energy, float(u0.grid.x[j]),
-                       float(ux.values[j]), float(u0.values[j]))
-    point = float(point)
-    return _assess("mixed", delta, energy, point, interp(ux, point), interp(u0, point))
+    j = int(np.argmin(ux.values + np.abs(u0.values)))
+    return _assess("mixed", delta, energy, float(u0.grid.x[j]),
+                   float(ux.values[j]), float(u0.values[j]))

@@ -235,19 +235,6 @@ def deriv(f: Field) -> Field:
     return from_spectrum(f.grid, coeffs)
 
 
-def second_deriv(f: Field) -> Field:
-    _require_finite(f.values, "second_deriv input")
-    coeffs = np.fft.rfft(f.values)
-    coeffs *= f.grid.minus_k2
-    return from_spectrum(f.grid, coeffs)
-
-
-def helmholtz_inverse(f: Field) -> Field:
-    """(1 - d_xx)^(-1) f as a Fourier multiplier."""
-    _require_finite(f.values, "helmholtz_inverse input")
-    return Field(f.grid, f.smoothed_values)
-
-
 def band_spectrum(grid: Grid, values: np.ndarray) -> np.ndarray:
     """rfft of node values with the modes above kc zeroed."""
     coeffs = np.fft.rfft(values)

@@ -7,8 +7,9 @@ model with a cubic correction and time-dependent linear damping:
     h(u) = u^3 - (3/2) u^2
 
 Damping multiplies the H^1 energy by exp(-2 int_0^t lambda); everything else
-conserves it. The slope equation obtained by differentiating in x is also
-provided, since the minimum slope drives wave breaking.
+conserves it. The same kernel pass gives the slope equation, obtained by
+differentiating in x, and its bounded forcing B, since the minimum slope
+drives wave breaking.
 """
 
 from __future__ import annotations
@@ -331,36 +332,27 @@ def rhs(u: Field, t: float, profile: DissipationProfile) -> Field:
 
 
 def _bounded_forcing_hat(s: NonlinearSpectra) -> np.ndarray:
-    """Spectrum of bounded_forcing from the kernel spectra s of u."""
-    return s.local - s.conv
-
-
-def bounded_forcing(u: Field) -> Field:
-    """B = u^2 + h(u) - P * (u^2 + u_x^2/2 + h(u)).
+    """Spectrum of B = u^2 + h(u) - P * (u^2 + u_x^2/2 + h(u)), from the
+    kernel spectra s of u.
 
     This is the portion of the slope dynamics that stays bounded by the
     initial energy (|B| <= K) while the slope itself diverges.
     """
-    grid = u.grid
-    return from_spectrum(grid, _bounded_forcing_hat(_nonlinear_spectra(grid, u.values)))
+    return s.local - s.conv
 
 
 def _slope_rhs_from(grid: Grid, s: NonlinearSpectra, lam: float) -> Field:
-    """slope_rhs from the kernel spectra s of u, at damping rate lam."""
-    bend_hat = band_spectrum(
-        grid, band_values(grid, s.u) * band_values(grid, s.u * grid.minus_k2))
-    out_hat = -0.5 * s.slopesq - bend_hat + _bounded_forcing_hat(s) - lam * s.ux
-    return from_spectrum(grid, out_hat)
-
-
-def slope_rhs(u: Field, t: float, profile: DissipationProfile) -> Field:
-    """Time derivative of u_x: -ux^2/2 - u u_xx + B(u) - lambda(t) ux.
+    """Time derivative of u_x, -ux^2/2 - u u_xx + B(u) - lam ux, from the
+    kernel spectra s of u.
 
     Identical to deriv(rhs(u)) up to roundoff; its own u u_xx product keeps
     it a separate route, so the slope dynamics can be cross-checked against
     the direct one.
     """
-    return _slope_rhs_from(u.grid, _nonlinear_spectra(u.grid, u.values), profile.rate(t))
+    bend_hat = band_spectrum(
+        grid, band_values(grid, s.u) * band_values(grid, s.u * grid.minus_k2))
+    out_hat = -0.5 * s.slopesq - bend_hat + _bounded_forcing_hat(s) - lam * s.ux
+    return from_spectrum(grid, out_hat)
 
 
 # ---------------------------------------------------------------------------

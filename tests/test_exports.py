@@ -1,5 +1,7 @@
-"""The package's public names: chbreak.__all__ against what __init__ imports,
-and against what the package and its benchmark use."""
+"""The package's names: chbreak.__all__ against what __init__ imports, and
+every exported name and module-level function and class against what the
+package and its benchmark use. Routes that only tests call live in
+tests/reference.py."""
 
 import ast
 from pathlib import Path
@@ -8,14 +10,6 @@ import chbreak
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE, BENCH = ROOT / "src" / "chbreak", ROOT / "bench"
-
-# exported names that nothing in src/ or bench/ calls, each with its reason
-UNREFERENCED = {
-    "second_deriv": "reference route for the uxx that build_aux takes from the kernel pass",
-    "slope_rhs": "reference route for build_aux's slope channel",
-    "helmholtz_inverse": "reference route for Field.smoothed_values",
-    "bounded_forcing": "reference route for the continuation's frozen B field",
-}
 
 
 def _imported_names() -> list[str]:
@@ -54,10 +48,18 @@ def test_exports_match_the_imports():
     assert set(chbreak.__all__) == set(_imported_names()) | {"__version__"}
 
 
+def _defined_names() -> list[str]:
+    """Every module-level function and class in src/chbreak/, as module.name."""
+    return [f"{path.stem}.{node.name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
 def test_every_exported_name_has_a_caller():
+    assert sorted(set(chbreak.__all__) - _referenced_names()) == []
+
+
+def test_every_defined_name_has_a_caller():
     referenced = _referenced_names()
-    unused = sorted(set(chbreak.__all__) - referenced - set(UNREFERENCED))
-    assert unused == []
-    # an allowlisted name that gains a caller, or leaves __all__, leaves the list
-    assert sorted(set(UNREFERENCED) & referenced) == []
-    assert set(UNREFERENCED) <= set(chbreak.__all__)
+    assert [name for name in _defined_names() if name.split(".")[1] not in referenced] == []

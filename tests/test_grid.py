@@ -29,15 +29,14 @@ from chbreak import (
     conv_P_plus,
     deriv,
     h1_norm_sq,
-    helmholtz_inverse,
     interp,
     run,
-    second_deriv,
     smoothed_edge_decay,
     tail_fraction,
 )
 from chbreak.grid import _exp_march, _exp_moments, _phases, _point_phases, from_spectrum
 from chbreak.model import _nonlinear_spectra
+from reference import helmholtz_inverse, second_deriv
 
 L = 30.0
 
@@ -158,8 +157,8 @@ def _raw_noise(grid):
 
 
 class TestCachedSymbols:
-    """deriv and second_deriv read Grid.ik and Grid.minus_k2; each gives what
-    the symbol it replaced, built inline, gave, bit for bit."""
+    """deriv and build_aux's uxx read Grid.ik and Grid.minus_k2; each gives
+    what the symbol built inline gives, bit for bit."""
 
     @pytest.mark.parametrize("make", [_band_noise, _raw_noise])
     def test_deriv_matches_the_inline_symbol(self, make):
@@ -172,10 +171,8 @@ class TestCachedSymbols:
     @pytest.mark.parametrize("make", [_band_noise, _raw_noise])
     def test_second_deriv_matches_the_inline_symbol(self, make):
         u = make(Grid(L, 1024))
-        coeffs = np.fft.rfft(u.values)
-        k = u.grid.wavenumbers
-        coeffs *= -(k * k)
-        assert second_deriv(u).values.tobytes() == np.fft.irfft(coeffs, 1024).tobytes()
+        got = from_spectrum(u.grid, np.fft.rfft(u.values) * u.grid.minus_k2)
+        assert got.values.tobytes() == second_deriv(u).values.tobytes()
 
     @pytest.mark.parametrize("name", ["ik", "minus_k2"])
     def test_symbols_are_cached_and_read_only(self, name):

@@ -19,7 +19,6 @@ from chbreak import (
     InitialDatum,
     SearchError,
     band_limit,
-    bounded_forcing,
     conv_P_minus,
     conv_P_plus,
     deriv,
@@ -28,11 +27,12 @@ from chbreak import (
     h1_norm_sq,
     make_datum,
     rhs,
-    slope_rhs,
     slope_threshold,
 )
 from chbreak.criteria import _assess
 from chbreak.model import _nonlinear_spectra
+from reference import (NATIVE_GRID_TOL, bounded_forcing, padded_reference, rel_gap,
+                       slope_rhs)
 
 GRID = Grid(30.0, 1024)
 
@@ -353,53 +353,6 @@ class TestRhs:
         assert np.max(np.abs(direct.values - chained.values)) < 1e-11
 
 
-def _padded_product(grid, a_hat, b_hat):
-    """Reference Galerkin product: both spectra zero-extended onto the 3N/2
-    grid, multiplied there, truncated back to |k| <= kc."""
-    n = grid.n_points
-    m = 3 * n // 2
-
-    def fine(coeffs):
-        padded = np.zeros(m // 2 + 1, dtype=complex)
-        padded[: n // 2 + 1] = coeffs
-        return np.fft.irfft(padded, m) * (m / n)
-
-    prod = np.fft.rfft(fine(a_hat) * fine(b_hat)) * (n / m)
-    out = np.zeros(n // 2 + 1, dtype=complex)
-    out[: grid.kc + 1] = prod[: grid.kc + 1]
-    return out
-
-
-def _padded_reference(u, lam):
-    """Every kernel spectrum, rhs and slope_rhs by the 3N/2-padded route."""
-    grid = u.grid
-    k = grid.wavenumbers
-    u_hat = np.fft.rfft(u.values)
-    ux_hat = u_hat * (1j * k)
-    ux_hat[-1] = 0.0
-    sq = _padded_product(grid, u_hat, u_hat)
-    slopesq = _padded_product(grid, ux_hat, ux_hat)
-    local = _padded_product(grid, sq, u_hat) - 0.5 * sq
-    flux = local + 0.5 * slopesq
-    spectra = {"u": u_hat, "ux": ux_hat, "advect": _padded_product(grid, u_hat, ux_hat),
-               "sq": sq, "slopesq": slopesq, "local": local, "flux": flux}
-    grad_conv = flux * grid.helmholtz_multiplier * (1j * k)
-    grad_conv[-1] = 0.0
-    rhs_ref = np.fft.irfft(-spectra["advect"] - grad_conv, grid.n_points) - lam * u.values
-    bend = _padded_product(grid, u_hat, -u_hat * (k * k))
-    slope_hat = (-0.5 * slopesq - bend + local - flux * grid.helmholtz_multiplier
-                 - lam * ux_hat)
-    return spectra, rhs_ref, np.fft.irfft(slope_hat, grid.n_points)
-
-
-# float64 roundoff of a few length-N transforms, fixed before measuring
-NATIVE_GRID_TOL = 1e-13
-
-
-def _rel_gap(got, ref):
-    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-
-
 class TestNativeGridProducts:
     """The N-grid products equal the 3N/2-padded Galerkin products."""
 
@@ -411,13 +364,13 @@ class TestNativeGridProducts:
         else:
             u = band_limit(Field(GRID, np.exp(-0.5 * ((GRID.x - 0.7) / 0.9) ** 2)))
         p = DissipationProfile.constant(0.3)
-        spectra, rhs_ref, slope_ref = _padded_reference(u, 0.3)
+        spectra, rhs_ref, slope_ref = padded_reference(u, 0.3)
         got = _nonlinear_spectra(GRID, u.values)
         for name, ref in spectra.items():
-            assert _rel_gap(np.fft.irfft(getattr(got, name), GRID.n_points),
-                            np.fft.irfft(ref, GRID.n_points)) < NATIVE_GRID_TOL, name
-        assert _rel_gap(rhs(u, 0.0, p).values, rhs_ref) < NATIVE_GRID_TOL
-        assert _rel_gap(slope_rhs(u, 0.0, p).values, slope_ref) < NATIVE_GRID_TOL
+            assert rel_gap(np.fft.irfft(getattr(got, name), GRID.n_points),
+                           np.fft.irfft(ref, GRID.n_points)) < NATIVE_GRID_TOL, name
+        assert rel_gap(rhs(u, 0.0, p).values, rhs_ref) < NATIVE_GRID_TOL
+        assert rel_gap(slope_rhs(u, 0.0, p).values, slope_ref) < NATIVE_GRID_TOL
 
     def test_rhs_makes_nine_transforms_all_of_length_n(self, fft_lengths):
         u = _smooth_bump()

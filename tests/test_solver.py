@@ -15,7 +15,6 @@ from chbreak import (
     RunOutcome,
     SolverConfig,
     SolverState,
-    bounded_forcing,
     deriv,
     estimate_blowup,
     find_breaking_datum,
@@ -27,6 +26,7 @@ from chbreak import (
 )
 from chbreak import model, solver
 from chbreak.characteristics import build_aux
+from reference import bounded_forcing
 
 GRID = Grid(30.0, 1024)
 SMOOTH = InitialDatum("gaussian_derivative", amplitude=0.3, width=1.3)

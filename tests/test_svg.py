@@ -1,11 +1,17 @@
 """Deterministic SVG chart output."""
 
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import chbreak
 from chbreak.svg import PALETTE, Series, _fmt, _nice_ticks, write_line_chart
+
+SRC = os.path.dirname(os.path.dirname(chbreak.__file__))
 
 RAMP = Series("ramp", tuple(i * 0.1 for i in range(11)),
               tuple(i * 0.1 for i in range(11)))
@@ -131,3 +137,60 @@ class TestTicks:
                                              (0.1 + 0.2, "0.3")])
     def test_fmt(self, value, label):
         assert _fmt(value) == label
+
+
+# two energies one ulp apart: after the 4% pad the tick step is below half
+# an ulp of the energy, so adding it leaves the tick where it was
+ONE_ULP = (0.022155673136318943, 0.022155673136318946)
+
+# an undamped run this short keeps its energy to the last bit or two
+FLAT_ENERGY = """\
+[grid]
+half_length = 30.0
+n_points = 1024
+
+[datum]
+family = gaussian_derivative
+amplitude = 0.1
+width = 1.0
+
+[dissipation]
+kind = constant
+value = 0.0
+
+[solver]
+t_end = 0.001
+"""
+
+
+def _finishes(code: str, tmp_path) -> subprocess.CompletedProcess:
+    """Run code in a child interpreter that must finish within 3 s: a tick
+    loop that never ends fails here instead of filling memory."""
+    try:
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=3.0, cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC})
+    except subprocess.TimeoutExpired:
+        pytest.fail("did not finish within 3 s")
+
+
+class TestSpanOfOneUlp:
+    def test_ticks_and_chart_finish(self, tmp_path):
+        lo, hi = ONE_ULP
+        assert math.nextafter(lo, hi) == hi
+        code = ("from chbreak.svg import Series, _nice_ticks, write_line_chart\n"
+                f"print(len(_nice_ticks({lo!r}, {hi!r})))\n"
+                "write_line_chart('chart.svg', 'E', 't', 'E', "
+                f"[Series('E', (0.0, 1.0), ({lo!r}, {hi!r}))])\n")
+        proc = _finishes(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert 1 <= int(proc.stdout) <= 12
+        _read(tmp_path / "chart.svg")
+
+    def test_simulate_writes_every_chart(self, tmp_path):
+        (tmp_path / "flat.ini").write_text(FLAT_ENERGY)
+        code = ("import sys; from chbreak.cli import main\n"
+                "sys.exit(main(['simulate', 'flat.ini', '--plots-dir', 'plots']))\n")
+        proc = _finishes(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("slope_min.svg", "reciprocal_slope.svg", "energy_law.svg"):
+            _read(tmp_path / "plots" / name)
