@@ -7,7 +7,7 @@ blow-up time bounds, follows characteristics through breaking, and extracts
 the blow-up time, rate, and location from runs.
 """
 
-from .config import RunConfig, emit_config, load_config, parse_config
+from .config import emit_config, load_config, parse_config
 from .criteria import (
     BreakingSearchResult,
     CriterionReport,
@@ -67,7 +67,7 @@ from .characteristics import (
     lemma_residual,
     start_track,
 )
-from .solver import RunOutcome, SolverConfig, SolverState, run, step
+from .solver import RunConfig, RunOutcome, SolverState, run, step
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "RunConfig",
     "RunOutcome",
     "SearchError",
-    "SolverConfig",
     "SolverState",
     "advance",
     "band_limit",

@@ -31,13 +31,13 @@ import numpy as np
 
 from . import __version__
 from .characteristics import diffeo_factor, lemma_residual
-from .config import RunConfig, emit_config, load_config
+from .config import emit_config, load_config
 from .criteria import check_criterion1, check_criterion2
 from .diagnostics import estimate_blowup, track_rate
 from .errors import ChbreakError, ConfigError
 from .model import DissipationProfile, make_datum
 from .riccati import omega_bound, solve_coupled, solve_omega, two_sided_bound
-from .solver import run
+from .solver import RunConfig, run
 from .svg import Series, write_line_chart
 
 CSV_COLUMNS = ("t", "E", "m", "x_argmin", "sup_abs_u", "dt", "lambda_int")
@@ -172,14 +172,11 @@ def _write_plots(plots_dir: str, outcome, est) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    records_csv = args.records_csv or cfg.records_csv
-    summary_json = args.summary_json or cfg.summary_json
-    plots_dir = args.plots_dir or cfg.plots_dir
     sink = None
     csv_fh = None
-    if records_csv:
-        with _writable(records_csv):
-            csv_fh = open(records_csv, "w", encoding="utf-8", newline="")
+    if args.records_csv:
+        with _writable(args.records_csv):
+            csv_fh = open(args.records_csv, "w", encoding="utf-8", newline="")
         writer = csv.writer(csv_fh)
         writer.writerow(CSV_COLUMNS)
         sink = lambda rec, _live: writer.writerow(_record_row(rec))
@@ -191,11 +188,11 @@ def _cmd_simulate(args) -> int:
             csv_fh.close()
     elapsed = time.perf_counter() - started
     est = estimate_blowup(outcome.records)
-    if summary_json:
-        _write_json(summary_json, _run_summary(cfg, outcome, est))
-    if plots_dir:
-        with _writable(plots_dir):
-            _write_plots(plots_dir, outcome, est)
+    if args.summary_json:
+        _write_json(args.summary_json, _run_summary(cfg, outcome, est))
+    if args.plots_dir:
+        with _writable(args.plots_dir):
+            _write_plots(args.plots_dir, outcome, est)
     print(f"outcome: {outcome.kind}")
     print(f"t_final: {outcome.t_final!r}")
     if outcome.t_switch is not None:

@@ -6,21 +6,23 @@ sections or keys are rejected with path:line messages instead of being
 ignored, and emit() writes a canonical form whose parse is identical to the
 original (round-trip stability is part of the contract and is tested).
 
-A file becomes one RunConfig: the SolverConfig that run() takes, plus the
-[outputs] paths. Every [solver] value is range-checked by SolverConfig when
-the file is read, and a bad one is reported as a ConfigError naming the file.
+A file becomes the RunConfig that run() takes; output paths come from the
+command line only. The [solver] keys are RunConfig's number fields, by the
+same names. Every [solver] value is range-checked by RunConfig when the file
+is read, and a bad one is reported as a ConfigError naming the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import fields
 
 from .errors import ConfigError
 from .grid import Grid
 from .model import DATUM_FAMILIES, DATUM_KEYS, DissipationProfile, InitialDatum, PROFILE_KINDS
-from .solver import SolverConfig
+from .solver import RunConfig
 
 _FLOAT_LIST = "float_list"
+_NUMBER_TYPES = {"float": float, "int": int}   # RunConfig's annotations are strings
 
 # [dissipation] parameter keys of each kind, in constructor order. delta_sup
 # follows them; only linear_ramp must give it, the others imply a ceiling.
@@ -37,25 +39,10 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "dissipation": {"kind": str, "delta_sup": float,
                     **{key: _FLOAT_LIST if kind == "piecewise" else float
                        for kind, keys in _PROFILE_KEYS.items() for key in keys}},
-    # c_m caps dt at c_m/|min slope|; m_stop is the slope level that ends a run
-    "solver": {"t_end": float, "cfl_factor": float, "c_m": float,
-               "dt_min": float, "m_stop": float, "record_stride": int,
-               "tail_tol": float, "collapse_margin": float, "edge_tol": float},
-    "outputs": {"records_csv": str, "summary_json": str, "plots_dir": str},
+    "solver": {f.name: _NUMBER_TYPES[f.type] for f in fields(RunConfig)
+               if f.type in _NUMBER_TYPES},
     "characteristics": {"seeds": _FLOAT_LIST},
 }
-# [solver] keys named differently from their SolverConfig field
-_FIELD_OF_KEY = {"c_m": "slope_dt_factor", "m_stop": "breaking_threshold"}
-
-
-@dataclass(frozen=True)
-class RunConfig(SolverConfig):
-    """A SolverConfig plus where simulate writes its outputs; run() takes it
-    as it is."""
-
-    records_csv: str | None = None
-    summary_json: str | None = None
-    plots_dir: str | None = None
 
 
 def _read_sections(text: str, path: str):
@@ -168,10 +155,9 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
                 raise ConfigError(f"missing section [{name}]")
         datum, profile = _build_datum(data["datum"]), _build_profile(data["dissipation"])
         _require(data, "solver", "t_end")
-        kwargs = {_FIELD_OF_KEY.get(k, k): v for k, v in data["solver"].items()}
-        kwargs.update(data.get("outputs", {}))
         return RunConfig(grid=grid, datum=datum, profile=profile,
-                         seeds=data.get("characteristics", {}).get("seeds", ()), **kwargs)
+                         seeds=data.get("characteristics", {}).get("seeds", ()),
+                         **data["solver"])
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -221,8 +207,7 @@ def emit_config(cfg: RunConfig) -> str:
     diss_pairs = [("kind", p.kind), *zip(_PROFILE_KEYS[p.kind], values),
                   ("delta_sup", p.delta_sup)]
     section("dissipation", diss_pairs)
-    for name in ("solver", "outputs"):
-        section(name, [(k, getattr(cfg, _FIELD_OF_KEY.get(k, k))) for k in _SCHEMA[name]])
+    section("solver", [(k, getattr(cfg, k)) for k in _SCHEMA["solver"]])
     if cfg.seeds:
         section("characteristics", [("seeds", cfg.seeds)])
     lines.append("")

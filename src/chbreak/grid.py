@@ -144,9 +144,6 @@ class Grid:
         j = self.dx * np.arange(min(self.n_points, int(300.0 / self.dx) + 1) + 1)
         return _read_only(np.exp(j[:-1])), _read_only(np.exp(-j))
 
-    def __str__(self) -> str:
-        return f"Grid(L={self.half_length:g}, N={self.n_points})"
-
 
 @dataclass(frozen=True)
 class Field:
@@ -178,9 +175,6 @@ class Field:
     def __sub__(self, other: "Field") -> "Field":
         self._match(other)
         return Field(self.grid, self.values - other.values)
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
 
     def __mul__(self, scalar: float) -> "Field":
         return Field(self.grid, self.values * float(scalar))

@@ -64,6 +64,8 @@ class DissipationProfile:
     knot_values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.kind not in PROFILE_KINDS:
+            raise ConfigError(f"profile kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
         ts, vs = self.knot_times, self.knot_values
         if not all(math.isfinite(v) for v in (*self.params, self.delta_sup, *ts, *vs)):
             raise ConfigError(f"{self.kind} profile values and delta_sup must be finite")

@@ -59,13 +59,13 @@ DAMPING_STEP = 0.02
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class RunConfig:
     """One run: grid, datum, damping, horizon and the step, record and
     certificate controls.
 
     Every value is checked here, on construction, so a config file with a
     bad value is rejected when it is read. The checks are written so that
-    NaN fails them.
+    NaN fails them. The number fields are a config file's [solver] keys.
     """
 
     grid: Grid
@@ -73,9 +73,9 @@ class SolverConfig:
     profile: DissipationProfile
     t_end: float
     cfl_factor: float = 0.3
-    slope_dt_factor: float = 0.2
+    c_m: float = 0.2    # dt <= c_m / max(1, |min slope|)
     dt_min: float = 1.0e-12
-    breaking_threshold: float = -1.0e6
+    m_stop: float = -1.0e6   # the slope level that ends a run
     record_stride: int = 1
     seeds: tuple[float, ...] = ()
     tail_tol: float = 1.0e-6
@@ -87,8 +87,8 @@ class SolverConfig:
             raise ValueError("t_end must be finite and >= 0")
         if not (0.0 < self.cfl_factor <= 1.0):
             raise ValueError("cfl_factor must lie in (0, 1]")
-        if not (self.slope_dt_factor > 0.0 and math.isfinite(self.slope_dt_factor)):
-            raise ValueError("c_m (slope_dt_factor) must be finite and > 0")
+        if not (self.c_m > 0.0 and math.isfinite(self.c_m)):
+            raise ValueError("c_m must be finite and > 0")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if not self.dt_min > 0.0:
@@ -97,8 +97,8 @@ class SolverConfig:
             # below 1 the switch level lies above the supercritical threshold,
             # so the frozen law would be continued without a certificate
             raise ValueError("collapse_margin must be >= 1")
-        if not self.breaking_threshold < 0.0:
-            raise ValueError("m_stop (breaking_threshold) must be negative")
+        if not self.m_stop < 0.0:
+            raise ValueError("m_stop must be negative")
         if not self.tail_tol > 0.0:
             raise ValueError("tail_tol must be > 0")
         if not self.edge_tol > 0.0:
@@ -113,7 +113,7 @@ class SolverConfig:
             raise ValueError(f"samples datum has {len(self.datum.values)} values, "
                              f"grid wants {self.grid.n_points}")
 
-    def with_refinement(self, factor: int = 2) -> SolverConfig:
+    def with_refinement(self, factor: int = 2) -> RunConfig:
         """Same run with factor times the grid points. Every other value, the
         CFL number included, is kept, so dt scales with dx."""
         return replace(self, grid=Grid(self.grid.half_length, self.grid.n_points * factor))
@@ -150,7 +150,7 @@ def _rk4(u: Field, t: float, dt: float, profile: DissipationProfile,
     return rk4(lambda s, v: rhs(v, s, profile), t, u, dt, k1)
 
 
-def step(state: SolverState, cfg: SolverConfig, aux: TrackAux | None = None) -> SolverState:
+def step(state: SolverState, cfg: RunConfig, aux: TrackAux | None = None) -> SolverState:
     """One accepted RK4 step.
 
     dt = min(cfl dx / sup|u|, c_m / max(1, |m|), DAMPING_STEP / max|lambda|,
@@ -173,7 +173,7 @@ def step(state: SolverState, cfg: SolverConfig, aux: TrackAux | None = None) -> 
     lam_max = max(map(abs, cfg.profile._extremes(cfg.t_end)))
     dt = min(
         cfg.cfl_factor * grid.dx / (sup if sup > 0.0 else 1.0),
-        cfg.slope_dt_factor / max(1.0, abs(m)),
+        cfg.c_m / max(1.0, abs(m)),
         DAMPING_STEP / lam_max if lam_max > 0.0 else math.inf,
         cfg.t_end - state.t,
     )
@@ -206,7 +206,7 @@ def _measure(u: Field, aux: TrackAux | None = None) -> tuple[float, int, float]:
     return float(ux.values[j]), j, h1_norm_sq(u, None if aux is None else ux)
 
 
-def run(cfg: SolverConfig, sink=None) -> RunOutcome:
+def run(cfg: RunConfig, sink=None) -> RunOutcome:
     """Integrate to the horizon or through certified breaking.
 
     sink, when given, is called as sink(record, live) for each
@@ -262,7 +262,7 @@ def run(cfg: SolverConfig, sink=None) -> RunOutcome:
                 advance(tracks, aux, aux_new)
         aux = aux_new   # None from here on once the tracks have ended
         m, j, energy = _measure(u, aux)
-        if stop is None and m <= cfg.breaking_threshold:
+        if stop is None and m <= cfg.m_stop:
             stop = "breaking_detected"
         if stop is None and tail_fraction(u) > cfg.tail_tol:
             certified_level = cfg.collapse_margin * slope_threshold(
@@ -288,7 +288,7 @@ def run(cfg: SolverConfig, sink=None) -> RunOutcome:
     return outcome
 
 
-def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, emit, state: SolverState,
+def _continue_collapse(cfg: RunConfig, outcome: RunOutcome, emit, state: SolverState,
                        m: float, j: int, energy_sw: float,
                        tracking: bool = True) -> tuple[str, float]:
     """Integrate the closed slope law against the frozen fields.
@@ -322,8 +322,8 @@ def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, emit, state: Solv
     t = state.t
     step_index = state.step_index
     k1 = None   # the tracks' stage at their last frozen sample
-    while m > cfg.breaking_threshold and t < cfg.t_end * (1.0 - 1e-14):
-        dt = min(cfg.slope_dt_factor / max(1.0, abs(m)), cfg.t_end - t)
+    while m > cfg.m_stop and t < cfg.t_end * (1.0 - 1e-14):
+        dt = min(cfg.c_m / max(1.0, abs(m)), cfg.t_end - t)
         m = rk4(m_rate, t, m, dt)
         # front location rides the frozen velocity field
         v_xi = interp(u_frozen, xi)
@@ -333,7 +333,7 @@ def _continue_collapse(cfg: SolverConfig, outcome: RunOutcome, emit, state: Solv
         t += dt
         step_index += 1
         law_energy = math.exp(-2.0 * (profile.integral(t) - lam_int_sw)) * energy_sw
-        if step_index % cfg.record_stride == 0 or m <= cfg.breaking_threshold:
+        if step_index % cfg.record_stride == 0 or m <= cfg.m_stop:
             emit(t, law_energy, m, xi, sup_frozen, dt, None)
     outcome.continued_steps = step_index - state.step_index
-    return ("breaking_detected" if m <= cfg.breaking_threshold else "reached_horizon"), t
+    return ("breaking_detected" if m <= cfg.m_stop else "reached_horizon"), t

@@ -38,12 +38,13 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+    if span == math.inf and math.isfinite(lo) and math.isfinite(hi):
+        # the width overflows: the ticks of the halved range, doubled (both exact)
+        return [2.0 * t for t in _nice_ticks(0.5 * lo, 0.5 * hi, target)]
+    # a span of a few subnormals steps by the smallest one, not by zero
+    raw = max(span / target, math.ulp(0.0))
+    mag = max(10.0 ** math.floor(math.log10(raw)), math.ulp(0.0))
+    step = next((m * mag for m in (1.0, 2.0, 5.0) if raw <= m * mag), 10.0 * mag)
     first = math.ceil(lo / step) * step
     ticks = []
     t = first

@@ -13,7 +13,7 @@ from chbreak import (
     Grid,
     InitialDatum,
     LemmaResidual,
-    SolverConfig,
+    RunConfig,
     build_aux,
     diffeo_factor,
     lemma_residual,
@@ -42,9 +42,9 @@ RESID_DROP = 3.5
 def smooth_runs():
     out = {}
     for cfl in (0.3, 0.15, 0.075):
-        cfg = SolverConfig(grid=SMOOTH_GRID, datum=SMOOTH_DATUM,
-                           profile=SMOOTH_PROFILE, t_end=0.5,
-                           cfl_factor=cfl, seeds=(0.5, -1.0))
+        cfg = RunConfig(grid=SMOOTH_GRID, datum=SMOOTH_DATUM,
+                        profile=SMOOTH_PROFILE, t_end=0.5,
+                        cfl_factor=cfl, seeds=(0.5, -1.0))
         out[cfl] = run(cfg)
     assert all(o.kind == "reached_horizon" for o in out.values())
     return out
@@ -52,7 +52,7 @@ def smooth_runs():
 
 @pytest.fixture(scope="module")
 def breaking_run():
-    cfg = SolverConfig(
+    cfg = RunConfig(
         grid=Grid(30.0, 4096),
         datum=InitialDatum("gaussian_derivative", amplitude=2.0, width=0.1),
         profile=DissipationProfile.constant(0.0),
@@ -76,10 +76,10 @@ def _count_interps(monkeypatch):
 class TestBasicTransport:
     def test_zero_field_is_stationary(self):
         grid = Grid(30.0, 256)
-        cfg = SolverConfig(grid=grid,
-                           datum=InitialDatum("samples", values=(0.0,) * 256),
-                           profile=DissipationProfile.constant(0.0),
-                           t_end=0.2, seeds=(0.5,))
+        cfg = RunConfig(grid=grid,
+                        datum=InitialDatum("samples", values=(0.0,) * 256),
+                        profile=DissipationProfile.constant(0.0),
+                        t_end=0.2, seeds=(0.5,))
         out = run(cfg)
         tr = out.tracks[0]
         assert np.allclose(tr.positions, 0.5, atol=1e-15)
@@ -88,11 +88,11 @@ class TestBasicTransport:
         assert np.allclose(diffeo_factor(tr), 1.0, atol=1e-15)
 
     def test_positive_field_carries_tracks_right(self):
-        cfg = SolverConfig(grid=Grid(30.0, 1024),
-                           datum=InitialDatum("sech_squared", amplitude=0.4,
-                                              width=1.0),
-                           profile=DissipationProfile.constant(0.0),
-                           t_end=0.4, seeds=(-1.0, 1.0))
+        cfg = RunConfig(grid=Grid(30.0, 1024),
+                        datum=InitialDatum("sech_squared", amplitude=0.4,
+                                           width=1.0),
+                        profile=DissipationProfile.constant(0.0),
+                        t_end=0.4, seeds=(-1.0, 1.0))
         out = run(cfg)
         for tr in out.tracks:
             assert np.all(np.diff(tr.positions) > 0.0)
@@ -276,11 +276,11 @@ class TestLemmaResidualMatchesTheLoop:
 
 class TestEdgeContamination:
     def test_seed_near_boundary_flagged(self):
-        cfg = SolverConfig(grid=Grid(30.0, 1024),
-                           datum=InitialDatum("sech_squared", amplitude=0.4,
-                                              width=1.0),
-                           profile=DissipationProfile.constant(0.0),
-                           t_end=0.1, seeds=(29.98,))
+        cfg = RunConfig(grid=Grid(30.0, 1024),
+                        datum=InitialDatum("sech_squared", amplitude=0.4,
+                                           width=1.0),
+                        profile=DissipationProfile.constant(0.0),
+                        t_end=0.1, seeds=(29.98,))
         out = run(cfg)
         tr = out.tracks[0]
         assert tr.edge_contaminated
@@ -361,14 +361,14 @@ class TestFrozenPhaseOfARun:
         # a breaking run whose seeds include the front at x = 0; the laws
         # are evaluated here one sample at a time against fields rebuilt
         # from the state the run switched at
-        cfg = SolverConfig(
+        cfg = RunConfig(
             grid=Grid(30.0, 4096),
             datum=InitialDatum("gaussian_derivative", amplitude=2.0, width=0.1),
             profile=SMOOTH_PROFILE, t_end=4.0, seeds=(-0.05, 0.0, 0.05))
         lives = []
         out = run(cfg, sink=lambda rec, live: lives.append(live))
         assert out.kind == "breaking_detected" and out.continued_steps > 1
-        assert min(out.tracks[1].ux_vals) < cfg.breaking_threshold
+        assert min(out.tracks[1].ux_vals) < cfg.m_stop
         u = [live for live in lives if live is not None][-1]
         drift = Field(u.grid, np.fft.irfft(_nonlinear_spectra(u.grid, u.values).drift,
                                            u.grid.n_points))

@@ -219,20 +219,31 @@ class TestSimulate:
             pair.append((records.read_bytes(), summary.read_bytes()))
         assert pair[0] == pair[1]
 
-    def test_paths_from_config_file(self, tmp_path):
-        text = SMOOTH + (f"\n[outputs]\nrecords_csv = {tmp_path}/r.csv\n"
-                         f"summary_json = {tmp_path}/s.json\n")
+    def test_paths_from_config_file(self, tmp_path, capsys):
+        # output paths come from the flags only: [outputs] is an unknown section
         p = tmp_path / "with_outputs.ini"
-        p.write_text(text)
-        assert main(["simulate", str(p)]) == 0
-        assert (tmp_path / "r.csv").exists()
-        assert (tmp_path / "s.json").exists()
+        p.write_text(SMOOTH + f"\n[outputs]\nrecords_csv = {tmp_path}/r.csv\n")
+        assert main(["simulate", str(p)]) == 2
+        line = len(SMOOTH.splitlines()) + 2
+        assert capsys.readouterr().err == f"error: {p}:{line}: unknown section [outputs]\n"
+        assert not (tmp_path / "r.csv").exists()
 
     def test_plots_written(self, smooth_cfg, tmp_path):
         plots = tmp_path / "plots"
         assert main(["simulate", smooth_cfg, "--plots-dir", str(plots)]) == 0
         for name in ("slope_min.svg", "reciprocal_slope.svg", "energy_law.svg"):
             ET.parse(plots / name)
+
+    def test_breaking_plot_draws_the_dashed_fit(self, tmp_path):
+        p = tmp_path / "breaking.ini"
+        p.write_text(BREAKING)
+        plots = tmp_path / "plots"
+        assert main(["simulate", str(p), "--plots-dir", str(plots)]) == 0
+        svg = "{http://www.w3.org/2000/svg}"
+        root = ET.parse(plots / "reciprocal_slope.svg").getroot()
+        dashes = [pl.get("stroke-dasharray") for pl in root.iter(f"{svg}polyline")]
+        assert dashes == [None, "6,4"]
+        assert [t.text for t in root.iter(f"{svg}text")][-2:] == ["-1/m", "fit"]
 
     def test_tracks_in_summary(self, smooth_cfg, tmp_path):
         text = SMOOTH + "\n[characteristics]\nseeds = 0.0 1.5\n"

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from chbreak import ConfigError, InitialDatum, emit_config, load_config, parse_config
+from chbreak import (ConfigError, Grid, InitialDatum, RunConfig, emit_config, load_config,
+                     parse_config)
+from chbreak.config import _SCHEMA
 
 FULL = """\
 # full configuration exercising every section
@@ -38,11 +40,6 @@ dt_min = 1e-11
 tail_tol = 2e-6
 collapse_margin = 1.1
 edge_tol = 1e-9
-
-[outputs]
-records_csv = out/records.csv
-summary_json = out/summary.json
-plots_dir = out/plots
 
 [characteristics]
 seeds = 0.0, 0.5 -1.25
@@ -78,24 +75,22 @@ class TestParse:
         assert cfg.profile.delta_sup == 0.4
         assert cfg.t_end == 1.5
         assert cfg.cfl_factor == 0.25
-        assert cfg.slope_dt_factor == 0.1          # c_m
-        assert cfg.breaking_threshold == -500000.0  # m_stop
+        assert cfg.c_m == 0.1
+        assert cfg.m_stop == -500000.0
         assert cfg.record_stride == 2
         assert cfg.dt_min == 1e-11
         assert cfg.tail_tol == 2e-6
         assert cfg.collapse_margin == 1.1
         assert cfg.edge_tol == 1e-9
-        assert cfg.records_csv == "out/records.csv"
         assert cfg.seeds == (0.0, 0.5, -1.25)
 
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.cfl_factor == 0.3
-        assert cfg.slope_dt_factor == 0.2
-        assert cfg.breaking_threshold == -1e6
+        assert cfg.c_m == 0.2
+        assert cfg.m_stop == -1e6
         assert cfg.record_stride == 1
         assert cfg.seeds == ()
-        assert cfg.records_csv is None
         assert cfg.profile.delta_sup == 0.0
 
     def test_zero_horizon_accepted(self):
@@ -279,6 +274,17 @@ class TestRefinement:
         assert dataclasses.replace(fine, grid=cfg.grid) == cfg
 
 
+def test_every_key_is_a_field_of_what_its_section_builds():
+    # one name per knob: a key is the field it sets; [dissipation] keys are
+    # constructor arguments instead
+    builds = {"grid": Grid, "datum": InitialDatum, "solver": RunConfig,
+              "characteristics": RunConfig}
+    assert set(_SCHEMA) == {*builds, "dissipation"}
+    for section, cls in builds.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert set(_SCHEMA[section]) <= fields, section
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(tmp_path / "absent.ini"))
@@ -298,4 +304,4 @@ def test_readme_example_parses():
     cfg = parse_config(blocks[0], "README")
     assert (cfg.grid.half_length, cfg.grid.n_points) == (30.0, 4096)
     assert cfg.profile.kind == "constant" and cfg.seeds == (0.0, 0.5, -1.25)
-    assert cfg.records_csv == "out/records.csv"
+    assert (cfg.c_m, cfg.m_stop) == (0.2, -1e6)

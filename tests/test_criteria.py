@@ -12,7 +12,7 @@ from chbreak import (
     Field,
     Grid,
     InitialDatum,
-    SolverConfig,
+    RunConfig,
     SolverState,
     check_criterion1,
     check_criterion2,
@@ -167,8 +167,8 @@ class TestSlopeLaw:
     profile = DissipationProfile.constant(0.2)
 
     def test_matches_time_differences_along_run(self):
-        cfg = SolverConfig(grid=self.grid, datum=self.datum, profile=self.profile,
-                           t_end=1.0)
+        cfg = RunConfig(grid=self.grid, datum=self.datum, profile=self.profile,
+                        t_end=1.0)
         state = SolverState(0.0, make_datum(self.datum, self.grid))
         ts, ms, us = [0.0], [float(np.min(deriv(state.u).values))], [state.u]
         for _ in range(24):
@@ -195,8 +195,8 @@ class TestSlopeLaw:
 
     def test_riccati_upper_envelope(self):
         # m' <= -lambda m - m^2/2 + K pointwise in time
-        cfg = SolverConfig(grid=self.grid, datum=self.datum, profile=self.profile,
-                           t_end=0.6)
+        cfg = RunConfig(grid=self.grid, datum=self.datum, profile=self.profile,
+                        t_end=0.6)
         state = SolverState(0.0, make_datum(self.datum, self.grid))
         k0 = forcing_constant(h1_norm_sq(state.u))
         for _ in range(12):

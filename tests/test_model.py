@@ -113,6 +113,10 @@ class TestDissipationProfile:
         with pytest.raises(ConfigError):
             DissipationProfile.piecewise((1.0,), (0.1,))
 
+    def test_unknown_kind_is_rejected_on_construction(self):
+        with pytest.raises(ConfigError, match=r"kind must be one of \('constant', "):
+            DissipationProfile("bogus", (1.0,), 1.0)
+
     def test_sinusoidal_needs_frequency(self):
         with pytest.raises(ConfigError):
             DissipationProfile.sinusoidal(0.2, 0.3, 0.0)

@@ -12,8 +12,8 @@ from chbreak import (
     Grid,
     InitialDatum,
     NumericsError,
+    RunConfig,
     RunOutcome,
-    SolverConfig,
     SolverState,
     deriv,
     estimate_blowup,
@@ -31,7 +31,7 @@ from reference import bounded_forcing
 GRID = Grid(30.0, 1024)
 SMOOTH = InitialDatum("gaussian_derivative", amplitude=0.3, width=1.3)
 # breaks: the live phase hands over to the certified continuation
-BREAKING = SolverConfig(
+BREAKING = RunConfig(
     grid=Grid(30.0, 4096),
     datum=InitialDatum("gaussian_derivative", amplitude=2.0, width=0.1),
     profile=DissipationProfile.constant(0.0),
@@ -42,7 +42,7 @@ def _cfg(**kw):
     base = dict(grid=GRID, datum=SMOOTH,
                 profile=DissipationProfile.constant(0.2), t_end=1.0)
     base.update(kw)
-    return SolverConfig(**base)
+    return RunConfig(**base)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _cfg(record_stride=0)
         with pytest.raises(ValueError):
-            _cfg(breaking_threshold=1.0)
+            _cfg(m_stop=1.0)
 
     @pytest.mark.parametrize("margin", [0.2, 0.999, math.nan])
     def test_collapse_margin_below_one(self, margin):
@@ -86,9 +86,9 @@ class TestConfigValidation:
             _cfg(dt_min=dt_min)
 
     @pytest.mark.parametrize("field,value", [
-        ("slope_dt_factor", 0.0), ("slope_dt_factor", -0.2),
-        ("slope_dt_factor", math.nan), ("slope_dt_factor", math.inf),
-        ("breaking_threshold", math.nan), ("tail_tol", 0.0), ("tail_tol", math.nan),
+        ("c_m", 0.0), ("c_m", -0.2),
+        ("c_m", math.nan), ("c_m", math.inf),
+        ("m_stop", math.nan), ("tail_tol", 0.0), ("tail_tol", math.nan),
         ("edge_tol", -1.0), ("edge_tol", math.nan),
     ])
     def test_controls_that_would_change_the_report(self, field, value):
@@ -393,7 +393,7 @@ class TestBreakingRun:
         assert all(b < a for a, b in zip(tail, tail[1:]))
 
     def test_state_sink_phases(self):
-        cfg = SolverConfig(
+        cfg = RunConfig(
             grid=Grid(30.0, 4096),
             datum=InitialDatum("gaussian_derivative", amplitude=2.0, width=0.1),
             profile=DissipationProfile.constant(0.0),
@@ -422,12 +422,24 @@ def test_halving_the_cfl_number_moves_neither_t_star_nor_rate():
     res = find_breaking_datum("gaussian_derivative", 0.1, "slope_only", amplitude=2.0)
     fits = []
     for cfl in (0.3, 0.15):
-        cfg = SolverConfig(grid=Grid(30.0, 4096), datum=res.datum,
-                           profile=DissipationProfile.constant(0.1), t_end=4.0,
-                           cfl_factor=cfl)
+        cfg = RunConfig(grid=Grid(30.0, 4096), datum=res.datum,
+                        profile=DissipationProfile.constant(0.1), t_end=4.0,
+                        cfl_factor=cfl)
         fits.append(estimate_blowup(run(cfg).records))
     assert fits[1].t_star == pytest.approx(fits[0].t_star, rel=1e-4)
     assert fits[1].rate == pytest.approx(fits[0].rate, rel=1e-4)
+
+
+def test_live_phase_stops_at_m_stop():
+    # m_stop above the slope the live phase reaches: the run ends before any switch
+    res = find_breaking_datum("gaussian_derivative", 0.1, "slope_only", amplitude=2.0)
+    cfg = RunConfig(grid=Grid(30.0, 4096), datum=res.datum,
+                    profile=DissipationProfile.constant(0.1), t_end=4.0, m_stop=-2.05)
+    out = run(cfg)
+    assert out.kind == "breaking_detected"
+    assert (out.live_steps, out.continued_steps, out.t_switch) == (1, 0, None)
+    assert out.records[-1].min_slope == pytest.approx(-2.0799, abs=1e-4)
+    assert out.records[-1].min_slope <= cfg.m_stop < out.records[-2].min_slope
 
 
 class TestCollapseSwitch:

@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import chbreak
+from chbreak.cli import main
 from chbreak.svg import PALETTE, Series, _fmt, _nice_ticks, write_line_chart
 
 SRC = os.path.dirname(os.path.dirname(chbreak.__file__))
@@ -194,3 +195,21 @@ class TestSpanOfOneUlp:
         assert proc.returncode == 0, proc.stderr
         for name in ("slope_min.svg", "reciprocal_slope.svg", "energy_law.svg"):
             _read(tmp_path / "plots" / name)
+
+
+class TestSpansAtTheEndsOfTheFloats:
+    def test_span_of_one_subnormal(self):
+        # span / 5 underflows to zero: the step is the smallest subnormal
+        assert _nice_ticks(0.0, 5e-324) == [0.0, 5e-324]
+
+    def test_span_past_the_largest_float(self):
+        # hi - lo overflows to inf: the ticks of the halved range, doubled
+        assert _nice_ticks(-1e308, 1e308) == [-8e307, -4e307, 0.0, 4e307, 8e307]
+
+    def test_simulate_over_one_subnormal_writes_every_chart(self, tmp_path):
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(FLAT_ENERGY.replace("t_end = 0.001", "t_end = 5e-324\ndt_min = 5e-324"))
+        plots = tmp_path / "plots"
+        assert main(["simulate", str(ini), "--plots-dir", str(plots)]) == 0
+        for name in ("slope_min.svg", "reciprocal_slope.svg", "energy_law.svg"):
+            _read(plots / name)
