@@ -151,28 +151,25 @@ def advance_frozen(tracks: list[CharacteristicTrack], t_start: float, dt: float,
     track still obeys its own proven ODEs: q' = v, v' = drift(q) - lambda v,
     w' = -w^2/2 + forcing(q) - lambda w, with drift = (P+ - P-) * F and
     forcing = u^2 + h(u) - P * F evaluated at the freeze time. The state is
-    one (q, v, w) row per track; the tracks share nothing but the phase
-    tables of each stage's points, so every row is what a step of its track
-    alone would give, bit for bit. The laws are written once, in the stage
-    f: the new sample's rhs_u and rhs_ux are columns 1 and 2 of f at the new
-    state, which is returned; handed back as k1, it is the next step's
-    first stage.
+    one (q, v, w) column per track; the tracks share nothing but the phase
+    tables of each stage's points, read for drift and forcing in one interp
+    call, so every column is what a step of its track alone would give, bit
+    for bit. The laws are written once, in the stage f: the new sample's
+    rhs_u and rhs_ux are rows 1 and 2 of f at the new state, which is
+    returned; handed back as k1, it is the next step's first stage.
     """
     def f(t, state):
-        q, v, w = state.T
+        q, v, w = state
         lam = profile.rate(t)
-        return np.stack([
-            v,
-            interp(drift, q) - lam * v,
-            -0.5 * w * w + interp(forcing, q) - lam * w,
-        ], axis=1)
+        d, b = interp((drift, forcing), q)
+        return np.array([v, d - lam * v, -0.5 * w * w + b - lam * w])
 
-    y = np.array([[tr.positions[-1], tr.u_vals[-1], tr.ux_vals[-1]] for tr in tracks])
+    y = np.array([[tr.positions[-1], tr.u_vals[-1], tr.ux_vals[-1]] for tr in tracks]).T
     y = rk4(f, t_start, y, dt, k1)
     t_new = t_start + dt
     k = f(t_new, y)
     # the spectral route needs live fields; no second route while frozen
-    _append_samples(tracks, drift.grid, t_new, *y.T, k[:, 1], k[:, 2])
+    _append_samples(tracks, drift.grid, t_new, *y, k[1], k[2])
     return k
 
 

@@ -145,14 +145,14 @@ class Grid:
         return _read_only(np.exp(j[:-1])), _read_only(np.exp(-j))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Real scalar field sampled on a Grid.
 
     A Field is a value: its `values` are a read-only view and are never
     mutated in place, and every operation returns a new Field. That is what
     lets spectra derived from the values be computed once per instance and
-    cached (spectrum_tiles).
+    cached (spectrum_tiles). Fields hash by identity, so interp can cache a stack.
     """
 
     grid: Grid
@@ -186,19 +186,18 @@ class Field:
         return float(np.max(np.abs(self.values)))
 
     @cached_property
-    def spectrum_tiles(self) -> np.ndarray:
-        """rfft of the values with the interior modes doubled, so that the
-        real interpolant is a one-sided sum over k = 0..N/2 (interp),
-        zero-padded to whole 32 x 64 tiles, read-only.
-
-        Computed on first use and cached on this instance.
+    def spectrum_tiles(self) -> tuple[np.ndarray, np.ndarray]:
+        """What interp sums, as a stack of this one field, read-only: the rfft
+        of the values over N, interior modes doubled, with modes 0..N/2-1 in
+        zero-padded 32 x 64 tiles, shape (1, tiles, 32, 64), and the real
+        Nyquist mode apart, shape (1,). Computed once and cached on this instance.
         """
-        count = self.grid.n_points // 2 + 1
-        tiles = np.zeros(_tile_count(count) * _TILE, dtype=complex)
-        coeffs = tiles[:count]
-        coeffs[:] = np.fft.rfft(self.values)
-        coeffs[1:-1] *= 2.0
-        return _read_only(tiles).reshape(-1, _TILE_ROWS, _FINE)
+        coeffs = np.fft.rfft(self.values) * (2.0 / self.grid.n_points)
+        coeffs[0] *= 0.5
+        tiles = np.zeros(_tile_count(coeffs.size - 1) * _TILE, dtype=complex)
+        tiles[:coeffs.size - 1] = coeffs[:-1]
+        return (_read_only(tiles).reshape(1, -1, _TILE_ROWS, _FINE),
+                _read_only(0.5 * coeffs[-1:].real))
 
     @cached_property
     def smoothed_values(self) -> np.ndarray:
@@ -357,7 +356,7 @@ def conv_P_minus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
 # field's spectrum into tiles of _TILE_ROWS values of a by _FINE of b. The
 # tile size keeps BLAS on one thread: OpenBLAS (0.3.31) runs zgemv on two
 # threads once m * n >= 4096, and a 32 x 64 tile has 2048 entries. One
-# 65 x 64 or 129 x 64 product per point, at N = 8192 or 16384, crosses that
+# 64 x 64 or 128 x 64 product per point, at N = 8192 or 16384, crosses that
 # line: on two cores it takes twice its wall time in CPU time.
 _FINE = 64
 _TILE_ROWS = 32
@@ -374,48 +373,60 @@ def _phases(theta: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """e^(i theta k) for k = 0..count-1 as two short tables, one row per entry
     of theta: coarse e^(i theta _FINE a) for every a of _tile_count(count)
     tiles, and fine e^(i theta b) for b < _FINE, so e^(i theta k) is
-    coarse[:, a] * fine[:, b].
-
-    Each row is a running product of one complex exponential, e^(i theta
-    _FINE) or e^(i theta), so a point costs two exponentials.
+    coarse[:, a] * fine[:, b]. Each row is a running product of one complex
+    exponential, e^(i theta _FINE) or e^(i theta): a point costs two.
     """
     rows = _TILE_ROWS * _tile_count(count)
-    table = np.empty((2, theta.size, max(rows, _FINE)), dtype=complex)
-    table[:, :, 0] = 1.0
-    table[:, :, 1:] = np.exp(_STEP_ORDERS * theta[:, None]).T[:, :, None]
-    np.cumprod(table, axis=2, out=table)
-    return table[0, :, :rows], table[1, :, :_FINE]
+    table = np.ones((2, theta.size, max(rows, _FINE)), dtype=complex)
+    table[:, :, 1:] = np.exp(np.multiply.outer(_STEP_ORDERS, theta))[:, :, None]
+    np.multiply.accumulate(table, axis=2, out=table)
+    return _read_only(table)[0, :, :rows], table[1, :, :_FINE]
 
 
 @lru_cache(maxsize=1)
-def _point_phases(half_length: float, count: int,
-                  points: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """_phases of a tuple of points of [-half_length, half_length), read-only."""
-    theta = (np.array(points) + half_length) * (np.pi / half_length)
-    return tuple(map(_read_only, _phases(theta, count)))
+def _point_phases(half_length: float, n_points: int,
+                  points: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """interp's read-only tables for a tuple of points of [-L, L): the fine
+    one, the conjugate coarse one as (real, imaginary) pairs, and the Nyquist
+    phase Re e^(i theta N/2) = Re coarse[a] fine[b], N/2 = _FINE a + b."""
+    theta = np.array([(p + half_length) * (np.pi / half_length) for p in points])
+    coarse, fine = _phases(theta, n_points // 2 + 1)
+    a, b = divmod(n_points // 2, _FINE)
+    nyquist = _read_only((coarse[:, a:a + 1] * fine[:, b:b + 1]).real)
+    pairs = _read_only(np.conj(coarse[:, :_TILE_ROWS * _tile_count(n_points // 2)]).view(float))
+    return fine[:, None, None, :, None], pairs[:, None, None, :], nyquist
 
 
-def interp(f: Field, points) -> np.ndarray | float:
+@lru_cache(maxsize=1)
+def _stacked_spectra(fields: tuple[Field, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Field.spectrum_tiles of fields on one grid, stacked, read-only."""
+    for other in fields[1:]:
+        fields[0]._match(other)
+    tiles, nyquist = zip(*(f.spectrum_tiles for f in fields))
+    return _read_only(np.concatenate(tiles)), _read_only(np.concatenate(nyquist))
+
+
+def interp(f: Field | tuple[Field, ...], points) -> np.ndarray | float:
     """Evaluate the trigonometric interpolant at arbitrary points.
 
-    Scalar in, scalar out; array in, array out. Spectrally accurate for
-    band-limited fields and exact at the nodes. The field's spectrum comes
-    from its cache (Field.spectrum_tiles), so repeated calls on one field
-    transform it once. A point's value is the real part of
-    sum_a coarse_a (tile_a @ fine) / N: one 32 x 64 matrix-vector product
-    per tile and point, all in one stacked matmul, then one sum per point.
-    Callers read several fields at the same points in turn (seven per track
-    sample, two per frozen RK4 stage), so a call reuses the previous call's
-    phase tables when L, N and the points match. Each point is summed on its
-    own, so a point's value does not depend on which other points came with
-    it.
+    Scalar in, scalar out; array in, array out; exact at the nodes. A
+    point's value is Re sum_a coarse_a (tile_a @ fine) over the cached tiles
+    of modes 0..N/2-1 (Field.spectrum_tiles), one stacked matmul and one dot
+    product, plus the Nyquist term. For a tuple of fields on one grid, one
+    phase lookup and one stacked matmul give one row per field, each bit for
+    bit that field's own call. The previous call's phase tables are reused
+    when L, N and the points match. Each point is summed on its own, so its
+    value does not depend on which other points came with it.
     """
-    grid = f.grid
-    key = tuple(np.ravel(np.asarray(points, dtype=float)).tolist())
-    coarse, fine = _point_phases(grid.half_length, grid.n_points // 2 + 1, key)
-    inner = np.matmul(f.spectrum_tiles, fine[:, None, :, None]).reshape(coarse.shape)
-    out = (coarse.real * inner.real - coarse.imag * inner.imag).sum(axis=1) / grid.n_points
-    return float(out[0]) if np.isscalar(points) else out
+    grid = (f[0] if isinstance(f, tuple) else f).grid
+    scalar = isinstance(points, (int, float, np.number))
+    key = (float(points),) if scalar else tuple(np.asarray(points, dtype=float).ravel().tolist())
+    fine, pairs, nyquist = _point_phases(grid.half_length, grid.n_points, key)
+    tiles, top = _stacked_spectra(f) if isinstance(f, tuple) else f.spectrum_tiles
+    inner = np.matmul(tiles, fine).view(float).reshape(len(key), top.size, -1, 1)
+    rows = (np.matmul(pairs, inner)[:, :, 0, 0] + nyquist * top).T
+    rows = rows[:, 0].tolist() if scalar else rows
+    return rows if isinstance(f, tuple) else rows[0]
 
 
 def h1_norm_sq(f: Field, fx: Field | None = None) -> float:

@@ -297,9 +297,9 @@ def _continue_collapse(cfg: RunConfig, outcome: RunOutcome, emit, state: SolverS
     for the current energy, so it decreases monotonically to -inf and the
     bounded forcing stays bounded by the (frozen) forcing_constant. Returns
     the outcome kind and the final time. The tracks go on only when
-    tracking: not once they have ended in the live phase. The drift field
-    is built only for tracks that go on, and each continued step hands their
-    stage at the new sample to the next step as its first RK4 stage.
+    tracking: not once they have ended in the live phase. Once the final
+    time is known, each track marches to it alone (_march_frozen), so its
+    steps follow its own slope and its bits do not depend on the others.
     """
     profile = cfg.profile
     outcome.t_switch = state.t
@@ -308,8 +308,6 @@ def _continue_collapse(cfg: RunConfig, outcome: RunOutcome, emit, state: SolverS
     grid = cfg.grid
     s = _nonlinear_spectra(grid, u_frozen.values)
     b_field = from_spectrum(grid, _bounded_forcing_hat(s))
-    tracks = outcome.tracks if tracking else []
-    drift = from_spectrum(grid, s.drift) if tracks else None   # (P+ - P-) * F
     b_at_front = float(b_field.values[j])
     outcome.frozen_forcing = b_at_front
     xi = float(grid.x[j])
@@ -321,19 +319,34 @@ def _continue_collapse(cfg: RunConfig, outcome: RunOutcome, emit, state: SolverS
 
     t = state.t
     step_index = state.step_index
-    k1 = None   # the tracks' stage at their last frozen sample
     while m > cfg.m_stop and t < cfg.t_end * (1.0 - 1e-14):
         dt = min(cfg.c_m / max(1.0, abs(m)), cfg.t_end - t)
         m = rk4(m_rate, t, m, dt)
         # front location rides the frozen velocity field
         v_xi = interp(u_frozen, xi)
         xi = xi + dt * 0.5 * (v_xi + interp(u_frozen, xi + dt * v_xi))
-        if tracks:
-            k1 = advance_frozen(tracks, t, dt, drift, b_field, profile, k1)
         t += dt
         step_index += 1
         law_energy = math.exp(-2.0 * (profile.integral(t) - lam_int_sw)) * energy_sw
         if step_index % cfg.record_stride == 0 or m <= cfg.m_stop:
             emit(t, law_energy, m, xi, sup_frozen, dt, None)
     outcome.continued_steps = step_index - state.step_index
+    if tracking and outcome.tracks:
+        drift = from_spectrum(grid, s.drift)   # (P+ - P-) * F
+        for track in outcome.tracks:
+            _march_frozen(track, state.t, t, drift, b_field, cfg)
     return ("breaking_detected" if m <= cfg.m_stop else "reached_horizon"), t
+
+
+def _march_frozen(track: CharacteristicTrack, t: float, t_final: float, drift: Field,
+                  forcing: Field, cfg: RunConfig) -> None:
+    """March one track alone to t_final in steps c_m / max(1, |w|) of its own
+    slope w, handing each stage on; w at m_stop or not finite ends it (stopped_at)."""
+    k1 = None
+    while t < t_final * (1.0 - 1e-14):
+        if not track.ux_vals[-1] > cfg.m_stop:
+            track.stopped_at = track.times[-1]
+            return
+        dt = min(cfg.c_m / max(1.0, abs(track.ux_vals[-1])), t_final - t)
+        k1 = advance_frozen([track], t, dt, drift, forcing, cfg.profile, k1)
+        t += dt

@@ -13,6 +13,7 @@ PALETTE = ("#1f6fb2", "#d95f02", "#2a9d50", "#7a4fa3", "#6b6b6b")
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 64, 18, 42, 52
+_BIG = math.nextafter(math.inf, 0.0)   # the largest float
 
 
 def _escape(text: str) -> str:
@@ -34,9 +35,16 @@ def _finite_pairs(xs, ys):
             if math.isfinite(x) and math.isfinite(y)]
 
 
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """hi > lo: an empty range widens by 1, or by an ulp where lo absorbs 1."""
+    if hi > lo:
+        return lo, hi
+    step = 1.0 if lo + 1.0 > lo else math.ulp(lo)
+    return (lo, lo + step) if lo + step < math.inf else (lo - step, lo)
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _widened(lo, hi)
     span = hi - lo
     if span == math.inf and math.isfinite(lo) and math.isfinite(hi):
         # the width overflows: the ticks of the halved range, doubled (both exact)
@@ -48,7 +56,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-9 * span:
+    while t <= hi + 1e-9 * span and math.isfinite(t):
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
         if t + step == t:   # a step below half an ulp of t leaves t where it is
             break
@@ -72,21 +80,21 @@ def write_line_chart(path: str, title: str, xlabel: str, ylabel: str, series) ->
         y_hi = max(p[1] for p in all_pts)
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.04 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    x_lo, x_hi = _widened(x_lo, x_hi)
+    y_lo, y_hi = _widened(y_lo, y_hi)
+    pad = min(0.04 * (y_hi - y_lo), 0.04 * _BIG)
+    y_lo = max(y_lo - pad, -_BIG)
+    y_hi = min(y_hi + pad, _BIG)
+    # a span past the largest float maps at scale 2^-12: exact, and finite times the width
+    kx, ky = (1.0 if math.isfinite(b - a) else 2.0**-12 for a, b in ((x_lo, x_hi), (y_lo, y_hi)))
     inner_w = _W - _ML - _MR
     inner_h = _H - _MT - _MB
 
     def sx(x: float) -> float:
-        return _ML + inner_w * (x - x_lo) / (x_hi - x_lo)
+        return _ML + inner_w * (kx * x - kx * x_lo) / (kx * x_hi - kx * x_lo)
 
     def sy(y: float) -> float:
-        return _MT + inner_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
+        return _MT + inner_h * (1.0 - (ky * y - ky * y_lo) / (ky * y_hi - ky * y_lo))
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

@@ -16,6 +16,7 @@ from chbreak import (
     RunConfig,
     build_aux,
     diffeo_factor,
+    find_breaking_datum,
     lemma_residual,
     make_datum,
     run,
@@ -308,15 +309,15 @@ class TestFrozenAdvance:
         assert math.isnan(tr.rhs_ux_alt[-1])    # no spectral route while frozen
         assert tr.rhs_ux[-1] == pytest.approx(-0.5 * w_exact * w_exact, rel=1e-12)
 
-    def test_builds_five_phase_rows_for_ten_interps(self, phase_builds, monkeypatch):
-        # drift and forcing share each RK4 stage's points, then the new ones;
-        # every call reads all three tracks at once
+    def test_builds_five_phase_rows_for_five_interps(self, phase_builds, monkeypatch):
+        # each RK4 stage, then the new sample, reads drift and forcing in one
+        # call; every call reads all three tracks at once
         tracks = _frozen_tracks()
         drift, forcing = _frozen_fields()
         points = _count_interps(monkeypatch)
         assert phase_builds(lambda: advance_frozen(tracks, 0.0, 0.01, drift, forcing,
                                                    SMOOTH_PROFILE)) == 5
-        assert len(points) == 10 and len(set(points)) == 5
+        assert len(points) == 5 and len(set(points)) == 5
         assert all(len(p) == 3 for p in points)
 
     def test_batch_matches_one_track_at_a_time_bit_for_bit(self):
@@ -342,17 +343,16 @@ class TestFrozenAdvance:
             t += dt
         assert repr(tracks) == repr(plain) == repr(reference)
 
-    def test_handed_back_step_builds_four_phase_rows_for_eight_interps(self, phase_builds,
-                                                                       monkeypatch):
+    def test_handed_back_step_builds_four_rows_in_four_calls(self, phase_builds, monkeypatch):
         # the first stage is the last sample's, so only RK4's other three
-        # stages and the new sample read the fields
+        # stages and the new sample read the fields, both in one call
         tracks = _frozen_tracks()
         drift, forcing = _frozen_fields()
         k1 = advance_frozen(tracks, 0.0, 0.01, drift, forcing, SMOOTH_PROFILE)
         points = _count_interps(monkeypatch)
         assert phase_builds(lambda: advance_frozen(tracks, 0.01, 0.01, drift, forcing,
                                                    SMOOTH_PROFILE, k1)) == 4
-        assert len(points) == 8 and len(set(points)) == 4
+        assert len(points) == 4 and len(set(points)) == 4
         assert all(len(p) == 3 for p in points)
 
 
@@ -382,15 +382,95 @@ class TestFrozenPhaseOfARun:
                     stored += [ru, rw]
                     laws += [interp(drift, q) - lam * v,
                              -0.5 * w * w + interp(forcing, q) - lam * w]
-        assert len(stored) == 2 * len(cfg.seeds) * out.continued_steps
+        # each track takes its own frozen steps, one sample each
+        frozen = [sum(t > out.t_switch for t in tr.times) for tr in out.tracks]
+        assert all(n >= 1 for n in frozen)
+        assert len(stored) == 2 * sum(frozen)
         assert np.array(stored).tobytes() == np.array(laws).tobytes()
         assert repr(run(cfg).tracks) == repr(out.tracks)
         # and a run whose continued steps drop the stage the solver hands back
         handed = []
         monkeypatch.setattr(solver, "advance_frozen", lambda *args: handed.append(
-            args[6] is not None) or advance_frozen(*args[:6]))
+            (len(args[0]), args[6] is not None)) or advance_frozen(*args[:6]))
         assert repr(run(cfg).tracks) == repr(out.tracks)
-        assert handed == [False] + [True] * (out.continued_steps - 1)
+        assert handed == [(1, k > 0) for n in frozen for k in range(n)]
+
+
+@pytest.fixture(scope="module")
+def tracked_run():
+    """The benchmark's tracked input: the acceptance slope datum at N = 8192
+    with nine tracks across the front."""
+    datum = find_breaking_datum("gaussian_derivative", 0.1, "slope_only", amplitude=2.0).datum
+    cfg = RunConfig(grid=Grid(30.0, 8192), datum=datum, profile=DissipationProfile.constant(0.1),
+                    t_end=4.0, seeds=(-0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4))
+    out = run(cfg)
+    assert out.kind == "breaking_detected"
+    return cfg, out
+
+
+def _one_sample_track(w):
+    tr = CharacteristicTrack(seed=0.0)
+    tr.times, tr.positions, tr.u_vals, tr.ux_vals = [0.0], [0.0], [0.0], [w]
+    tr.rhs_u, tr.rhs_ux, tr.rhs_u_alt, tr.rhs_ux_alt = [0.0], [-0.5 * w * w], [math.nan], [math.nan]
+    tr.reliable = [True]
+    return tr
+
+
+class TestFrozenTracksStepAlone:
+    def test_each_track_equals_a_run_seeded_with_it_alone_bit_for_bit(self):
+        cfg = RunConfig(
+            grid=Grid(30.0, 4096),
+            datum=InitialDatum("gaussian_derivative", amplitude=2.0, width=0.1),
+            profile=SMOOTH_PROFILE, t_end=4.0, seeds=(0.2, 0.0, -0.3))
+        out = run(cfg)
+        assert out.kind == "breaking_detected"
+        for seed, track in zip(cfg.seeds, out.tracks):
+            alone = run(replace(cfg, seeds=(seed,)))
+            assert alone.records == out.records
+            assert repr(alone.tracks) == repr([track])
+        # the tracks took different numbers of frozen steps
+        frozen = [sum(t > out.t_switch for t in tr.times) for tr in out.tracks]
+        assert len(set(frozen)) > 1
+
+    def test_mild_tracks_take_few_frozen_steps(self, tracked_run):
+        cfg, out = tracked_run
+        for track in out.tracks:
+            frozen = [w for t, w in zip(track.times, track.ux_vals) if t > out.t_switch]
+            if track.seed == 0.0:
+                # the front: its own slope sets its steps, down to m_stop
+                assert len(frozen) > 100 and frozen[-1] <= cfg.m_stop < frozen[-2]
+                assert track.stopped_at == track.times[-1] <= out.t_final
+            else:
+                assert max(map(abs, frozen)) <= 1.0
+                assert 1 <= len(frozen) <= 8
+                assert track.stopped_at is None
+                assert track.times[-1] == pytest.approx(out.t_final, rel=1e-14)
+
+    def test_a_slope_past_m_stop_ends_the_track(self):
+        # zero fields and no damping: w' = -w^2/2 from w = -3 blows up at t = 2/3
+        grid = Grid(30.0, 256)
+        zero = Field(grid, np.zeros(256))
+        cfg = RunConfig(grid=grid, datum=SMOOTH_DATUM, profile=DissipationProfile.constant(0.0),
+                        t_end=1.0)
+        track = _one_sample_track(-3.0)
+        solver._march_frozen(track, 0.0, 1.0, zero, zero, cfg)
+        assert track.ux_vals[-1] <= cfg.m_stop < track.ux_vals[-2]
+        assert track.stopped_at == track.times[-1] < 1.0
+        # within RK4's error of the exact crossing 2/3 - 2e-6
+        assert track.stopped_at == pytest.approx(2.0 / 3.0, abs=1e-5)
+        # every step is c_m / max(1, |w|) of the track's own last slope
+        assert track.times[1:] == [t + cfg.c_m / max(1.0, abs(w))
+                                   for t, w in zip(track.times, track.ux_vals[:-1])]
+
+    def test_a_non_finite_slope_ends_the_track(self):
+        grid = Grid(30.0, 256)
+        cfg = RunConfig(grid=grid, datum=SMOOTH_DATUM, profile=DissipationProfile.constant(0.0),
+                        t_end=1.0)
+        track = _one_sample_track(-3.0)
+        nan_forcing = Field(grid, np.full(256, math.nan))
+        solver._march_frozen(track, 0.0, 1.0, Field(grid, np.zeros(256)), nan_forcing, cfg)
+        assert track.n_samples == 2 and math.isnan(track.ux_vals[-1])
+        assert track.stopped_at == track.times[-1] == cfg.c_m / 3.0
 
 
 def _three_point_derivative(ts, ys, i):

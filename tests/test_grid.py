@@ -418,17 +418,19 @@ class TestInterpSpectrumCache:
         assert np.max(np.abs(rebuilt - direct)) < PHASE_TOL
 
     def test_cached_spectrum_is_weighted_rfft_bit_for_bit(self):
-        # at N = 8192 the Nyquist mode starts a tile of its own
+        # the tiles hold modes 0..N/2-1 over N; the Nyquist mode comes apart
         for n_points in (1024, 8192):
             g = Grid(L, n_points)
-            count = g.n_points // 2 + 1
+            half = g.n_points // 2
             # white noise, so the Nyquist mode (counted once) is nonzero
             u = Field(g, np.random.default_rng(4).standard_normal(g.n_points))
-            expect = _interp_weights(g) * np.fft.rfft(u.values)
-            tiles = u.spectrum_tiles
-            assert tiles.shape[1:] == (32, 64)
-            assert np.array_equal(tiles.reshape(-1)[:count], expect)
-            assert not np.any(tiles.reshape(-1)[count:])   # zero padding
+            expect = _interp_weights(g) * np.fft.rfft(u.values) / g.n_points
+            tiles, nyquist = u.spectrum_tiles
+            assert tiles.shape[0] == 1 and tiles.shape[2:] == (32, 64)
+            assert np.array_equal(tiles.reshape(-1)[:half], expect[:half])
+            assert not np.any(tiles.reshape(-1)[half:])   # zero padding
+            assert expect[-1].imag == 0.0 and expect[-1].real != 0.0
+            assert np.array_equal(nyquist, [expect[-1].real])
 
     def test_spectrum_transformed_once_per_field(self, monkeypatch):
         g = Grid(L, 512)
@@ -450,7 +452,7 @@ class TestInterpSpectrumCache:
     @pytest.mark.parametrize("n_pts", [1, 9])
     def test_tiles_match_direct_exponential_route(self, n_points, n_pts):
         # up to N = 64 the modes fill less than one row of a tile; from
-        # N = 8192 on the Nyquist mode starts a tile of its own
+        # N = 4096 on the modes below the Nyquist mode fill whole tiles
         g = Grid(L, n_points)
         pts = np.random.default_rng(n_points + n_pts).uniform(-L, L, n_pts)
         _check_direct_route(_band_noise(g, seed=20), pts)
@@ -506,18 +508,58 @@ class TestInterpSpectrumCache:
         assert _point_phases.cache_info().hits == hits + 1
 
     def test_cached_row_is_read_only(self):
-        # both phase tables of a point set, and the field's spectrum tiles
+        # the three phase tables of a point set, and the field's spectrum
         for n_points in (256, 16384):
             g = Grid(L, n_points)
             u = _band_noise(g)
             interp(u, 0.4)
             hits = _point_phases.cache_info().hits
-            tables = _point_phases(g.half_length, g.n_points // 2 + 1, (0.4,))
+            tables = _point_phases(g.half_length, g.n_points, (0.4,))
             assert _point_phases.cache_info().hits == hits + 1
-            assert len(tables) == 2
-            for table in (*tables, u.spectrum_tiles):
+            assert len(tables) == 3
+            for table in (*tables, *u.spectrum_tiles):
                 with pytest.raises(ValueError):
                     table[(0,) * table.ndim] = 0.0
+
+    @pytest.mark.parametrize("n_points", [16, 1024, 4096, 8192, 16384])
+    def test_no_tile_holds_only_the_nyquist_mode(self, n_points):
+        # modes 0..N/2-1 fill N/4096 whole tiles from N = 4096 on, one below
+        tiles, nyquist = _band_noise(Grid(L, n_points)).spectrum_tiles
+        assert tiles.shape == (1, max(1, n_points // 4096), 32, 64)
+        assert nyquist.shape == (1,)
+
+    @pytest.mark.parametrize("n_points", [1024, 8192, 16384])
+    def test_exact_at_the_nodes_of_white_noise(self, n_points):
+        # white noise has a nonzero Nyquist mode, which the tiles leave out
+        g = Grid(L, n_points)
+        u = Field(g, np.random.default_rng(n_points).standard_normal(n_points))
+        assert u.spectrum_tiles[1][0] != 0.0
+        nodes = np.concatenate((np.arange(0, n_points, 97), [1, n_points - 1]))
+        coeffs = _interp_weights(g) * np.fft.rfft(u.values)
+        bound = PHASE_TOL * np.sum(np.abs(coeffs)) / n_points
+        assert np.max(np.abs(interp(u, g.x[nodes]) - u.values[nodes])) < bound
+        assert abs(interp(u, float(g.x[1])) - u.values[1]) < bound
+
+    @pytest.mark.parametrize("n_points", [1024, 8192])
+    def test_paired_reads_equal_single_reads_bit_for_bit(self, n_points, phase_builds):
+        g = Grid(L, n_points)
+        fields = [_band_noise(g, seed=s) for s in (21, 22, 23)]
+        pts = np.array([0.0, -7.25, 3.1e-3, g.x[100], 12.5, -L])
+        single = [interp(f, pts) for f in fields]
+        got = []
+        # one phase build serves every field of the call
+        assert phase_builds(lambda: got.append(interp(tuple(fields), pts))) == 1
+        assert got[0].shape == (3, pts.size)
+        for row, want in zip(got[0], single):
+            assert row.tobytes() == want.tobytes()
+        for q in (0.4, g.x[7]):
+            assert interp((fields[2], fields[0]), q) == [interp(fields[2], q),
+                                                          interp(fields[0], q)]
+
+    def test_paired_reads_need_one_grid(self):
+        u, v = _band_noise(Grid(L, 512)), _band_noise(Grid(20.0, 512))
+        with pytest.raises(ValueError, match="different grids"):
+            interp((u, v), 0.3)
 
     def test_runs_on_other_grids_between_leave_tracks_unchanged(self):
         def tracks(grid):

@@ -22,10 +22,11 @@ from chbreak import (
     h1_norm_sq,
     make_datum,
     run,
+    slope_threshold,
     step,
 )
 from chbreak import model, solver
-from chbreak.characteristics import build_aux
+from chbreak.characteristics import build_aux, start_track
 from reference import bounded_forcing
 
 GRID = Grid(30.0, 1024)
@@ -489,7 +490,8 @@ class TestCollapseSwitch:
         u = make_datum(cfg.datum, GRID)
         m, j, energy = solver._measure(u)
         outcome = RunOutcome(kind="reached_horizon", t_final=0.0, records=[],
-                             tracks=[object()], energy0=energy, dissipative=True)
+                             tracks=[start_track(0.0, build_aux(u, 0.0, cfg.profile, 1e-8))],
+                             energy0=energy, dissipative=True)
         drifts = []
         monkeypatch.setattr(solver, "advance_frozen",
                             lambda tracks, t, dt, drift, forcing, profile, k1=None:
@@ -500,3 +502,50 @@ class TestCollapseSwitch:
         drift_hat = -flux * GRID.helmholtz_multiplier * (1j * GRID.wavenumbers)
         drift_hat[-1] = 0.0
         assert drifts[0].values.tobytes() == np.fft.irfft(drift_hat, GRID.n_points).tobytes()
+
+
+@pytest.fixture(scope="module")
+def acceptance_slope_datum():
+    return find_breaking_datum("gaussian_derivative", 0.1, "slope_only", amplitude=2.0).datum
+
+
+def _margin_run(datum, margin):
+    return run(RunConfig(grid=Grid(30.0, 4096), datum=datum,
+                         profile=DissipationProfile.constant(0.1), t_end=4.0,
+                         collapse_margin=margin))
+
+
+class TestCertificateMargin:
+    """The acceptance slope datum at N = 4096: its first loss of resolution
+    falls at a slope between 1.27 and 1.28 times the supercritical
+    threshold, so collapse_margin decides whether that step is certified."""
+
+    def test_the_first_trigger_lies_between_the_two_margins(self, acceptance_slope_datum):
+        out = _margin_run(acceptance_slope_datum, 1.27)
+        rec = out.records[-out.continued_steps - 1]
+        assert rec.t == out.t_switch and rec.min_slope == out.m_switch
+        level = slope_threshold(0.1, forcing_constant(rec.energy))
+        assert 1.28 * level <= rec.min_slope < 1.27 * level
+
+    def test_a_margin_below_the_trigger_certifies_it(self, acceptance_slope_datum):
+        out = _margin_run(acceptance_slope_datum, 1.27)
+        assert out.kind == "breaking_detected" and not out.resolution_degraded
+        assert out.live_steps == 3 and out.continued_steps > 0
+        assert out.t_switch == pytest.approx(0.12474469587759181, rel=1e-12)
+
+    def test_a_margin_above_the_trigger_flags_it_and_switches_a_step_later(
+            self, acceptance_slope_datum):
+        out = _margin_run(acceptance_slope_datum, 1.28)
+        assert out.kind == "breaking_detected" and out.resolution_degraded
+        assert out.live_steps == 4 and out.continued_steps > 0
+        assert out.t_switch == pytest.approx(0.16934514095553305, rel=1e-12)
+        # the flagged step was not continued: the live records go on past it
+        assert [r.t for r in out.records[:5]] == [
+            r.t for r in _margin_run(acceptance_slope_datum, 1.27).records[:4]] + [out.t_switch]
+
+    def test_a_margin_never_reached_ends_uncertified(self, acceptance_slope_datum):
+        out = _margin_run(acceptance_slope_datum, 2.0)
+        assert out.kind == "edge_decay_lost" and out.resolution_degraded
+        assert out.live_steps == 10
+        assert out.t_switch is None and out.m_switch is None
+        assert out.continued_steps == 0 and out.frozen_forcing is None

@@ -213,3 +213,41 @@ class TestSpansAtTheEndsOfTheFloats:
         assert main(["simulate", str(ini), "--plots-dir", str(plots)]) == 0
         for name in ("slope_min.svg", "reciprocal_slope.svg", "energy_law.svg"):
             _read(plots / name)
+
+    def test_y_span_past_the_largest_float_writes_a_finite_chart(self, tmp_path):
+        # the 4% pad of a span that overflows reached +-inf and raised
+        p = tmp_path / "chart.svg"
+        write_line_chart(str(p), "t", "x", "y", [Series("s", (0.0, 1.0), (1e308, -1e308))])
+        _assert_every_position_finite(p)
+
+    def test_x_span_past_the_largest_float_writes_finite_coordinates(self, tmp_path):
+        # (x - lo) / (hi - lo) with hi - lo = inf gave nan coordinates
+        p = tmp_path / "chart.svg"
+        write_line_chart(str(p), "t", "x", "y", [Series("s", (1e308, -1e308), (0.0, 1.0))])
+        _assert_every_position_finite(p)
+
+    def test_ticks_up_to_the_largest_float_are_finite(self):
+        # hi + 1e-9 * span overflows, so the tick past the largest float was kept as inf
+        assert _nice_ticks(0.0, sys.float_info.max) == [0.0, 5e307, 1e308, 1.5e308]
+
+    def test_constant_series_that_absorbs_one_writes_a_chart(self, tmp_path):
+        # 1e20 + 1 is 1e20: the empty range widens by an ulp instead
+        p = tmp_path / "chart.svg"
+        write_line_chart(str(p), "t", "x", "y", [Series("s", (0.0, 1.0), (1e20, 1e20))])
+        _assert_every_position_finite(p)
+
+
+def _assert_every_position_finite(path):
+    """Every coordinate and tick label the chart holds is a finite number."""
+    text, root = _read(path)
+    values = []
+    for el in root.iter():
+        for name in ("x", "y", "x1", "y1", "x2", "y2"):
+            if el.get(name) is not None:
+                values.append(float(el.get(name)))
+        if el.tag.endswith("polyline"):
+            values += [float(v) for pair in el.get("points").split() for v in pair.split(",")]
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    values += [float(t) for t in labels if t and t[0] in "-0123456789"]
+    assert values and all(math.isfinite(v) for v in values)
+    assert "nan" not in text and "inf" not in text
