@@ -96,10 +96,9 @@ _CHANNELS = ("positions", "u_vals", "ux_vals", "rhs_u", "rhs_ux", "rhs_u_alt", "
 
 def _append_samples(tracks: list[CharacteristicTrack], grid, t: float, *channels) -> None:
     """Store one sample per track: channels hold one entry per track, in
-    _CHANNELS order, and the two spectral-route ones default to NaN. The edge
-    and slope limits decide each sample's reliability."""
-    pad = [[math.nan] * len(tracks)] * (len(_CHANNELS) - len(channels))
-    rows = zip(*(np.asarray(c).tolist() for c in channels), *pad)
+    _CHANNELS order. The edge and slope limits decide each sample's
+    reliability."""
+    rows = zip(*(np.asarray(c).tolist() for c in channels))
     edge = grid.half_length - 2.0 * grid.dx
     for track, row in zip(tracks, rows):
         track.edge_contaminated |= abs(row[0]) > edge
@@ -141,21 +140,18 @@ def advance(tracks: list[CharacteristicTrack], aux_before: TrackAux, aux_after: 
     _append_pde_samples(tracks, q + 0.5 * dt * (v0 + v1), aux_after)
 
 
-def advance_frozen(tracks: list[CharacteristicTrack], t_start: float, dt: float,
+def advance_frozen(track: CharacteristicTrack, t_start: float, dt: float,
                    drift: Field, forcing: Field, profile: DissipationProfile,
                    k1: np.ndarray | None = None) -> np.ndarray:
-    """One RK4 step of the closed track system against frozen fields, for
-    every track at once.
+    """One RK4 step of the closed track system against frozen fields.
 
-    Past the resolvability horizon the Eulerian fields stop moving but each
+    Past the resolvability horizon the Eulerian fields stop moving but the
     track still obeys its own proven ODEs: q' = v, v' = drift(q) - lambda v,
     w' = -w^2/2 + forcing(q) - lambda w, with drift = (P+ - P-) * F and
     forcing = u^2 + h(u) - P * F evaluated at the freeze time. The state is
-    one (q, v, w) column per track; the tracks share nothing but the phase
-    tables of each stage's points, read for drift and forcing in one interp
-    call, so every column is what a step of its track alone would give, bit
-    for bit. The laws are written once, in the stage f: the new sample's
-    rhs_u and rhs_ux are rows 1 and 2 of f at the new state, which is
+    one (q, v, w) vector; each stage reads drift and forcing at q in one
+    interp call. The laws are written once, in the stage f: the new sample's
+    rhs_u and rhs_ux are entries 1 and 2 of f at the new state, which is
     returned; handed back as k1, it is the next step's first stage.
     """
     def f(t, state):
@@ -164,12 +160,13 @@ def advance_frozen(tracks: list[CharacteristicTrack], t_start: float, dt: float,
         d, b = interp((drift, forcing), q)
         return np.array([v, d - lam * v, -0.5 * w * w + b - lam * w])
 
-    y = np.array([[tr.positions[-1], tr.u_vals[-1], tr.ux_vals[-1]] for tr in tracks]).T
+    y = np.array([track.positions[-1], track.u_vals[-1], track.ux_vals[-1]])
     y = rk4(f, t_start, y, dt, k1)
     t_new = t_start + dt
     k = f(t_new, y)
     # the spectral route needs live fields; no second route while frozen
-    _append_samples(tracks, drift.grid, t_new, *y, k[1], k[2])
+    _append_samples([track], drift.grid, t_new,
+                    *np.array([*y, k[1], k[2], math.nan, math.nan])[:, None])
     return k
 
 

@@ -48,17 +48,17 @@ def geometric_mean(a, b) -> np.ndarray:
     return out
 
 
-def reciprocal_blowup_fit(ts: np.ndarray, vals: np.ndarray,
-                          entry: float = DEFAULT_FIT_ENTRY) -> RateEstimate | None:
+def reciprocal_blowup_fit(ts: np.ndarray, vals: np.ndarray) -> RateEstimate | None:
     """Least-squares line through y = -1/vals on the tail where vals < entry.
 
-    vals must diverge to -inf; entry marks where the asymptotic regime is
-    assumed to begin. Returns None when fewer than MIN_FIT_POINTS samples
-    qualify or the fitted line does not cross zero forward in time.
+    vals must diverge to -inf; entry = DEFAULT_FIT_ENTRY, read at each call,
+    marks where the asymptotic regime is assumed to begin. Returns None when
+    fewer than MIN_FIT_POINTS samples qualify or the fitted line does not
+    cross zero forward in time.
     """
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    mask = np.isfinite(vals) & (vals < entry)
+    mask = np.isfinite(vals) & (vals < DEFAULT_FIT_ENTRY)
     if int(mask.sum()) < MIN_FIT_POINTS:
         return None
     # keep only the final contiguous stretch: the slope may dip below the

@@ -41,20 +41,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _exp_moments(z: float, count: int = 4) -> np.ndarray:
-    """Moments I_p = integral_0^1 tau^p e^(z tau) dtau for p < count.
+def _exp_moments(z: float) -> np.ndarray:
+    """Moments I_p = integral_0^1 tau^p e^(z tau) dtau for p = 0..3.
 
     The forward recurrence I_p = (e^z - p I_(p-1))/z loses digits for small z,
     so a short series is used there instead.
     """
-    out = np.empty(count)
+    out = np.empty(4)
     if abs(z) >= 0.25:
         ez = np.exp(z)
         out[0] = np.expm1(z) / z
-        for p in range(1, count):
+        for p in range(1, 4):
             out[p] = (ez - p * out[p - 1]) / z
     else:
-        for p in range(count):
+        for p in range(4):
             term = 1.0 / (p + 1)
             total = term
             z_pow = 1.0

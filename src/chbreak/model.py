@@ -42,6 +42,8 @@ DATUM_KEYS = {family: ("values",) if family == "samples" else ("amplitude", "wid
 PROFILE_KINDS = ("constant", "linear_ramp", "sinusoidal", "piecewise")
 MIXED_SAMPLE_INTERVALS = 8192
 WIDTH_SCAN_POINTS = 96   # widths find_breaking_datum tries, geometrically spaced
+WIDTH_RANGE = (0.04, 1.0)   # over this range, widest first
+SEARCH_MARGIN = 0.10   # the criterion margin the found datum reaches
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +385,6 @@ def find_breaking_datum(
     delta: float = 0.0,
     criterion: str = "slope_only",
     amplitude: float = 2.0,
-    width_range: tuple[float, float] = (0.04, 1.0),
-    margin: float = 0.10,
 ) -> BreakingSearchResult:
     """Scan the family's width for a datum that satisfies a blow-up criterion.
 
@@ -392,7 +392,7 @@ def find_breaking_datum(
     the energy (hence the threshold) faster than it costs slope, so the
     first hit is the widest, best-resolved qualifying datum. The result is
     the criterion's report on the line profile. Raises SearchError when no
-    width in the range reaches the requested margin.
+    width in WIDTH_RANGE reaches SEARCH_MARGIN.
     """
     from .criteria import BreakingSearchResult, _assess
 
@@ -400,14 +400,11 @@ def find_breaking_datum(
         raise ConfigError(f"unknown criterion {criterion!r}")
     if family == "samples":
         raise ConfigError("the width search needs an analytic family")
-    lo, hi = width_range
-    if not (0.0 < lo < hi):
-        raise ConfigError("width_range must satisfy 0 < lo < hi")
-    if not (math.isfinite(delta) and 0.0 < margin < math.inf):
-        raise ConfigError("delta must be finite and margin positive and finite, "
-                          f"got delta={delta}, margin={margin}")
+    if not math.isfinite(delta):
+        raise ConfigError(f"delta must be finite, got {delta}")
     if criterion == "slope_only" and not amplitude > 0.0:
         raise ConfigError(f"the slope-only search needs amplitude > 0, got {amplitude}")
+    lo, hi = WIDTH_RANGE
     best_fail = None
     for w in np.geomspace(hi, lo, WIDTH_SCAN_POINTS):
         datum = InitialDatum(family, amplitude=amplitude, width=float(w))
@@ -417,11 +414,11 @@ def find_breaking_datum(
         else:
             point, slope, amp = _mixed_extreme(datum)
         report = _assess(criterion, delta, datum.energy(), point, slope, amp)
-        if report.margin >= margin:
+        if report.margin >= SEARCH_MARGIN:
             return BreakingSearchResult(**vars(report), datum=datum)
         if best_fail is None or report.margin > best_fail:
             best_fail = report.margin
     raise SearchError(
         f"no {family} width in [{lo:g}, {hi:g}] meets the {criterion} criterion "
         f"at delta={delta:g}, amplitude={amplitude:g} "
-        f"(best margin {best_fail:.3f} < {margin:g})")
+        f"(best margin {best_fail:.3f} < {SEARCH_MARGIN:g})")

@@ -112,11 +112,12 @@ class RunConfig:
         if self.datum.family == "samples" and len(self.datum.values) != self.grid.n_points:
             raise ValueError(f"samples datum has {len(self.datum.values)} values, "
                              f"grid wants {self.grid.n_points}")
+        self.profile.validate_horizon(self.t_end)
 
-    def with_refinement(self, factor: int = 2) -> RunConfig:
-        """Same run with factor times the grid points. Every other value, the
-        CFL number included, is kept, so dt scales with dx."""
-        return replace(self, grid=Grid(self.grid.half_length, self.grid.n_points * factor))
+    def with_refinement(self) -> RunConfig:
+        """Same run with twice the grid points. Every other value, the CFL
+        number included, is kept, so dt scales with dx."""
+        return replace(self, grid=Grid(self.grid.half_length, 2 * self.grid.n_points))
 
 
 @dataclass
@@ -214,7 +215,6 @@ def run(cfg: RunConfig, sink=None) -> RunOutcome:
     time, or None once the run has switched to the frozen-field continuation.
     """
     profile = cfg.profile
-    profile.validate_horizon(cfg.t_end)
     u = make_datum(cfg.datum, cfg.grid, cfg.edge_tol)
     records: list[DiagnosticsRecord] = []
     tracks: list[CharacteristicTrack] = []
@@ -277,8 +277,7 @@ def run(cfg: RunConfig, sink=None) -> RunOutcome:
     t_final = state.t
     outcome.live_steps, outcome.dt_halvings = state.step_index, state.halvings
     if stop == "collapse":
-        stop, t_final = _continue_collapse(cfg, outcome, emit, state, m, j, energy,
-                                           tracking=aux is not None)
+        stop, t_final = _continue_collapse(cfg, outcome, emit, state, m, j, energy)
     elif stop is None:
         # horizon reached in the Eulerian phase
         if records[-1].t < state.t * (1.0 - 1e-14):
@@ -289,17 +288,16 @@ def run(cfg: RunConfig, sink=None) -> RunOutcome:
 
 
 def _continue_collapse(cfg: RunConfig, outcome: RunOutcome, emit, state: SolverState,
-                       m: float, j: int, energy_sw: float,
-                       tracking: bool = True) -> tuple[str, float]:
+                       m: float, j: int, energy_sw: float) -> tuple[str, float]:
     """Integrate the closed slope law against the frozen fields.
 
     Entered only under the certificate: the slope minimum is supercritical
     for the current energy, so it decreases monotonically to -inf and the
     bounded forcing stays bounded by the (frozen) forcing_constant. Returns
-    the outcome kind and the final time. The tracks go on only when
-    tracking: not once they have ended in the live phase. Once the final
-    time is known, each track marches to it alone (_march_frozen), so its
-    steps follow its own slope and its bits do not depend on the others.
+    the outcome kind and the final time. The tracks that have not ended
+    (stopped_at is None) go on: once the final time is known, each marches
+    to it alone (_march_frozen), so its steps follow its own slope and its
+    bits do not depend on the others.
     """
     profile = cfg.profile
     outcome.t_switch = state.t
@@ -331,9 +329,10 @@ def _continue_collapse(cfg: RunConfig, outcome: RunOutcome, emit, state: SolverS
         if step_index % cfg.record_stride == 0 or m <= cfg.m_stop:
             emit(t, law_energy, m, xi, sup_frozen, dt, None)
     outcome.continued_steps = step_index - state.step_index
-    if tracking and outcome.tracks:
+    marching = [track for track in outcome.tracks if track.stopped_at is None]
+    if marching:
         drift = from_spectrum(grid, s.drift)   # (P+ - P-) * F
-        for track in outcome.tracks:
+        for track in marching:
             _march_frozen(track, state.t, t, drift, b_field, cfg)
     return ("breaking_detected" if m <= cfg.m_stop else "reached_horizon"), t
 
@@ -348,5 +347,5 @@ def _march_frozen(track: CharacteristicTrack, t: float, t_final: float, drift: F
             track.stopped_at = track.times[-1]
             return
         dt = min(cfg.c_m / max(1.0, abs(track.ux_vals[-1])), t_final - t)
-        k1 = advance_frozen([track], t, dt, drift, forcing, cfg.profile, k1)
+        k1 = advance_frozen(track, t, dt, drift, forcing, cfg.profile, k1)
         t += dt

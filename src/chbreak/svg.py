@@ -14,6 +14,7 @@ PALETTE = ("#1f6fb2", "#d95f02", "#2a9d50", "#7a4fa3", "#6b6b6b")
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 64, 18, 42, 52
 _BIG = math.nextafter(math.inf, 0.0)   # the largest float
+_TICK_TARGET = 5   # about this many ticks per axis
 
 
 def _escape(text: str) -> str:
@@ -43,14 +44,14 @@ def _widened(lo: float, hi: float) -> tuple[float, float]:
     return (lo, lo + step) if lo + step < math.inf else (lo - step, lo)
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     lo, hi = _widened(lo, hi)
     span = hi - lo
     if span == math.inf and math.isfinite(lo) and math.isfinite(hi):
         # the width overflows: the ticks of the halved range, doubled (both exact)
-        return [2.0 * t for t in _nice_ticks(0.5 * lo, 0.5 * hi, target)]
+        return [2.0 * t for t in _nice_ticks(0.5 * lo, 0.5 * hi)]
     # a span of a few subnormals steps by the smallest one, not by zero
-    raw = max(span / target, math.ulp(0.0))
+    raw = max(span / _TICK_TARGET, math.ulp(0.0))
     mag = max(10.0 ** math.floor(math.log10(raw)), math.ulp(0.0))
     step = next((m * mag for m in (1.0, 2.0, 5.0) if raw <= m * mag), 10.0 * mag)
     first = math.ceil(lo / step) * step

@@ -80,6 +80,7 @@ class EnvelopeAudit:
     k0: float = math.nan
     worst_slope_excess: float = -math.inf   # max of d/dt m minus its ceiling
     worst_forcing_ratio: float = 0.0        # max |H| over K0 + delta^2/2
+    worst_b_ratio: float = 0.0              # max |B| over K0
     n_live: int = 0
 
 
@@ -100,6 +101,9 @@ def _audited_run(cfg: RunConfig):
         audit.worst_forcing_ratio = max(
             audit.worst_forcing_ratio,
             abs(forcing) / (audit.k0 + 0.5 * delta * delta))
+        lam = profile.rate(rec.t)
+        audit.worst_b_ratio = max(audit.worst_b_ratio,
+                                  abs(forcing - 0.5 * lam * lam) / audit.k0)
         audit.n_live += 1
 
     # the frozen slope ODE runs past the stop threshold by design; its
@@ -460,3 +464,23 @@ def test_11_deterministic_outputs(slope_suite, tmp_path_factory):
             problems.append(f"{name}: reruns differ")
     _verdict(11, "reruns reproduce byte-identical records and summaries",
              problems)
+
+
+def test_forcing_constant_is_far_from_sharp_on_the_slope_suite(slope_suite):
+    """K0 = forcing_constant(E0) bounds the slope forcing |B| from above, so a
+    K that is too small shows only where some live state has |B| near K0.
+
+    Over the 15 slope-suite runs (5 cases at N = 4096, 8192 and 16384) the
+    largest |B| / K0 at the slope argmin is about 0.084 (gaussian_derivative,
+    delta = 0.5), 0.052 for antisym_peak, and the largest |H| / (K0 +
+    delta^2/2) is about 0.098. So the acceptance verdicts cannot see a
+    factor-2 error in forcing_constant: half of K0 still bounds every B they
+    read. Only test_criteria.py's test_forcing_constant_frozen guards the
+    formula. This test fails once the suite's data come within a factor 2 of
+    the ceiling, where that statement stops holding.
+    """
+    cases, _elapsed = slope_suite
+    ratios = {f"{case.label}/N={cfg.grid.n_points}": audit.worst_b_ratio
+              for case in cases for cfg, _outcome, _est, audit in case.levels}
+    assert len(ratios) == 15 and all(r > 0.0 for r in ratios.values())
+    assert max(ratios.values()) < 0.5, ratios

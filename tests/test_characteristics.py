@@ -301,7 +301,7 @@ class TestFrozenAdvance:
         tr.rhs_u_alt, tr.rhs_ux_alt = [0.0], [0.0]
         tr.reliable = [True]
         dt = 1e-3
-        advance_frozen([tr], 0.0, dt, drift=zero, forcing=zero, profile=prof)
+        advance_frozen(tr, 0.0, dt, drift=zero, forcing=zero, profile=prof)
         w_exact = -3.0 / (1.0 - 1.5 * dt)
         assert tr.ux_vals[-1] == pytest.approx(w_exact, abs=1e-12)
         assert tr.positions[-1] == 0.0
@@ -310,50 +310,39 @@ class TestFrozenAdvance:
         assert tr.rhs_ux[-1] == pytest.approx(-0.5 * w_exact * w_exact, rel=1e-12)
 
     def test_builds_five_phase_rows_for_five_interps(self, phase_builds, monkeypatch):
-        # each RK4 stage, then the new sample, reads drift and forcing in one
-        # call; every call reads all three tracks at once
-        tracks = _frozen_tracks()
+        # each RK4 stage, then the new sample, reads drift and forcing at the
+        # track's one point in one call
+        track = _frozen_tracks()[0]
         drift, forcing = _frozen_fields()
         points = _count_interps(monkeypatch)
-        assert phase_builds(lambda: advance_frozen(tracks, 0.0, 0.01, drift, forcing,
+        assert phase_builds(lambda: advance_frozen(track, 0.0, 0.01, drift, forcing,
                                                    SMOOTH_PROFILE)) == 5
         assert len(points) == 5 and len(set(points)) == 5
-        assert all(len(p) == 3 for p in points)
-
-    def test_batch_matches_one_track_at_a_time_bit_for_bit(self):
-        tracks, reference = _frozen_tracks(), _frozen_tracks()
-        drift, forcing = _frozen_fields()
-        t, dt = 0.0, 0.01
-        for _ in range(4):
-            advance_frozen(tracks, t, dt, drift, forcing, SMOOTH_PROFILE)
-            for tr in reference:
-                _advance_frozen_alone(tr, t, dt, drift, forcing, SMOOTH_PROFILE)
-            t += dt
-        assert repr(tracks) == repr(reference)
+        assert all(len(p) == 1 for p in points)
 
     def test_handed_back_stage_changes_no_bit(self):
         tracks, plain, reference = _frozen_tracks(), _frozen_tracks(), _frozen_tracks()
         drift, forcing = _frozen_fields()
-        t, dt, k1 = 0.0, 0.01, None
-        for _ in range(5):
-            k1 = advance_frozen(tracks, t, dt, drift, forcing, SMOOTH_PROFILE, k1)
-            advance_frozen(plain, t, dt, drift, forcing, SMOOTH_PROFILE)
-            for tr in reference:
-                _advance_frozen_alone(tr, t, dt, drift, forcing, SMOOTH_PROFILE)
-            t += dt
+        for handed, tr, ref in zip(tracks, plain, reference):
+            t, dt, k1 = 0.0, 0.01, None
+            for _ in range(5):
+                k1 = advance_frozen(handed, t, dt, drift, forcing, SMOOTH_PROFILE, k1)
+                advance_frozen(tr, t, dt, drift, forcing, SMOOTH_PROFILE)
+                _advance_frozen_alone(ref, t, dt, drift, forcing, SMOOTH_PROFILE)
+                t += dt
         assert repr(tracks) == repr(plain) == repr(reference)
 
     def test_handed_back_step_builds_four_rows_in_four_calls(self, phase_builds, monkeypatch):
         # the first stage is the last sample's, so only RK4's other three
         # stages and the new sample read the fields, both in one call
-        tracks = _frozen_tracks()
+        track = _frozen_tracks()[0]
         drift, forcing = _frozen_fields()
-        k1 = advance_frozen(tracks, 0.0, 0.01, drift, forcing, SMOOTH_PROFILE)
+        k1 = advance_frozen(track, 0.0, 0.01, drift, forcing, SMOOTH_PROFILE)
         points = _count_interps(monkeypatch)
-        assert phase_builds(lambda: advance_frozen(tracks, 0.01, 0.01, drift, forcing,
+        assert phase_builds(lambda: advance_frozen(track, 0.01, 0.01, drift, forcing,
                                                    SMOOTH_PROFILE, k1)) == 4
         assert len(points) == 4 and len(set(points)) == 4
-        assert all(len(p) == 3 for p in points)
+        assert all(len(p) == 1 for p in points)
 
 
 class TestFrozenPhaseOfARun:
@@ -391,9 +380,10 @@ class TestFrozenPhaseOfARun:
         # and a run whose continued steps drop the stage the solver hands back
         handed = []
         monkeypatch.setattr(solver, "advance_frozen", lambda *args: handed.append(
-            (len(args[0]), args[6] is not None)) or advance_frozen(*args[:6]))
+            (args[0].seed, args[6] is not None)) or advance_frozen(*args[:6]))
         assert repr(run(cfg).tracks) == repr(out.tracks)
-        assert handed == [(1, k > 0) for n in frozen for k in range(n)]
+        assert handed == [(tr.seed, k > 0) for tr, n in zip(out.tracks, frozen)
+                          for k in range(n)]
 
 
 @pytest.fixture(scope="module")
@@ -558,8 +548,8 @@ def _frozen_fields():
 
 
 def _advance_frozen_alone(track, t_start, dt, drift, forcing, profile):
-    """The per-track frozen step advance_frozen made before it took a batch,
-    kept as the reference."""
+    """The frozen step with a plain interp call per field and per stage and
+    the laws written out again for the new sample, kept as the reference."""
     def f(t, state):
         q, v, w = state
         lam = profile.rate(t)
@@ -576,4 +566,5 @@ def _advance_frozen_alone(track, t_start, dt, drift, forcing, profile):
     characteristics._append_samples(
         [track], drift.grid, t_new, [q], [v], [w],
         [characteristics.interp(drift, float(q)) - lam * v],
-        [-0.5 * w * w + characteristics.interp(forcing, float(q)) - lam * w])
+        [-0.5 * w * w + characteristics.interp(forcing, float(q)) - lam * w],
+        [math.nan], [math.nan])

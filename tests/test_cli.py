@@ -700,6 +700,22 @@ class TestBadInputExitsTwo:
         assert not records.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "criteria"])
+    def test_delta_sup_below_lambda_on_the_horizon(self, tmp_path, capsys, command):
+        # lambda(t) = t passes delta_sup = 0.1 at t = 0.1: the criteria would
+        # certify breaking under a ceiling that the run itself does not have
+        path = tmp_path / "ramp.ini"
+        path.write_text(BREAKING.replace("width = 0.1", "width = 0.09").replace(
+            "kind = constant\nvalue = 0.2",
+            "kind = linear_ramp\nstart = 0.0\nramp_rate = 1.0\ndelta_sup = 0.1"))
+        out = tmp_path / "out"
+        argv = {"simulate": ["simulate", str(path), "--records-csv", str(out)],
+                "criteria": ["criteria", str(path), "--json", str(out)]}[command]
+        assert main(argv) == 2
+        err = _one_error_line(capsys)
+        assert err == f"error: {path}: delta_sup=0.1 is below max lambda = 4 on [0, 4.0]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "criteria"])
     def test_sample_count_checked_when_read(self, tmp_path, capsys, command):
         path = tmp_path / "bad.ini"
         path.write_text(SMOOTH.replace(
@@ -715,7 +731,7 @@ class TestBadInputExitsTwo:
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is slow to import and only the track kernels need it
+    # scipy.signal is slow to import, and chbreak needs no part of scipy
     code = "import sys, chbreak.cli; print('scipy.signal' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})

@@ -164,6 +164,20 @@ class TestErrors:
         bad = FULL.replace("seeds = 0.0, 0.5 -1.25", "seeds = here, there")
         self._raises(bad, "expects a list of numbers")
 
+    def test_empty_key(self):
+        line = MINIMAL.splitlines().index("t_end = 0.5") + 2
+        msg = self._raises(MINIMAL.replace("t_end = 0.5", "t_end = 0.5\n = 3"), "empty key")
+        assert msg == f"test.ini:{line}: empty key"
+
+    def test_empty_float_list(self):
+        self._raises(MINIMAL + "\n[characteristics]\nseeds =\n",
+                     "[characteristics] seeds expects a list of numbers, got ''")
+
+    def test_datum_missing_parameter(self):
+        msg = self._raises(MINIMAL.replace("width = 1.0\n", ""),
+                           "[datum] family 'sech_squared' needs width")
+        assert msg.startswith("test.ini: ")
+
     def test_missing_required(self):
         self._raises(MINIMAL.replace("t_end = 0.5", "record_stride = 1"),
                      "missing required [solver] t_end")
@@ -267,7 +281,7 @@ class TestRefinement:
 
     def test_factor_four(self):
         cfg = parse_config(MINIMAL)
-        fine = cfg.with_refinement(4)
+        fine = cfg.with_refinement().with_refinement()
         assert fine.grid.n_points == 1024
         assert fine.grid.half_length == cfg.grid.half_length
         assert fine.cfl_factor == cfg.cfl_factor

@@ -8,6 +8,7 @@ from chbreak import (
     estimate_blowup,
     track_rate,
 )
+from chbreak import diagnostics
 from chbreak.diagnostics import reciprocal_blowup_fit
 
 
@@ -30,17 +31,31 @@ class TestReciprocalFit:
         lo, hi = fit.window
         assert 0.98 < lo < hi == pytest.approx(0.999)
 
-    def test_bounded_perturbation_sharpens_with_depth(self):
+    def test_bounded_perturbation_sharpens_with_depth(self, monkeypatch):
         # an O(1) offset on top of the hyperbola biases the shallow fit;
         # deepening the entry level must shrink the bias
         ts = np.linspace(0.99, 0.9995, 400)
         vals = -2.0 / (1.0 - ts) - 5.0
-        shallow = reciprocal_blowup_fit(ts, vals, entry=-100.0)
-        deep = reciprocal_blowup_fit(ts, vals, entry=-1000.0)
+        monkeypatch.setattr(diagnostics, "DEFAULT_FIT_ENTRY", -100.0)
+        shallow = reciprocal_blowup_fit(ts, vals)
+        monkeypatch.setattr(diagnostics, "DEFAULT_FIT_ENTRY", -1000.0)
+        deep = reciprocal_blowup_fit(ts, vals)
         assert abs(shallow.rate + 2.0) < 0.1
         assert abs(deep.rate + 2.0) < 0.02
         assert abs(deep.rate + 2.0) < abs(shallow.rate + 2.0)
         assert deep.t_star == pytest.approx(1.0, abs=1e-4)
+
+    def test_only_the_last_stretch_below_the_entry_counts(self):
+        # 9 samples lie below the entry level, but a blip above it leaves
+        # only the last 3 in the final stretch: too few to fit
+        ts = np.linspace(0.985, 0.999, 12)
+        vals = -2.0 / (1.0 - ts)
+        vals[[0, 1]] = -50.0
+        fit = reciprocal_blowup_fit(ts, vals)
+        assert fit.n_points == 10 and fit.t_star == pytest.approx(1.0, abs=1e-9)
+        vals[8] = -50.0
+        assert int(np.sum(vals < -100.0)) == 9
+        assert reciprocal_blowup_fit(ts, vals) is None
 
     def test_too_few_points(self):
         ts = np.linspace(0.99, 0.999, 5)

@@ -1,7 +1,8 @@
 """The package's names: chbreak.__all__ against what __init__ imports, and
 every exported name and module-level function and class against what the
 package and its benchmark use. Routes that only tests call live in
-tests/reference.py."""
+tests/reference.py, and a value that only tests set is a module constant
+that they monkeypatch, not a defaulted parameter."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,46 @@ def test_every_exported_name_has_a_caller():
 def test_every_defined_name_has_a_caller():
     referenced = _referenced_names()
     assert [name for name in _defined_names() if name.split(".")[1] not in referenced] == []
+
+
+def _calls_by_name(trees) -> dict[str, list[tuple[ast.Call, tuple]]]:
+    """Every call in the given parsed files, by the name it calls, each with
+    (file, module-level function) of the code that makes it."""
+    calls = {}
+    for path, tree in trees.items():
+        for top in tree.body:
+            owner = (path, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append((node, owner))
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a default that no caller in src/ or bench/ overrides is a constant in
+    # disguise: a value only tests can set
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    calls = _calls_by_name(trees)
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in trees[path].body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            set_by_callers = set()
+            for call, owner in calls.get(fn.name, []):
+                if owner == (path, fn.name):
+                    continue    # a function's calls to itself
+                starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+                set_by_callers.update(positional if starred else positional[:len(call.args)])
+                for kw in call.keywords:
+                    # kw.arg is None for **mapping, which may set any of them
+                    set_by_callers.update(defaulted if kw.arg is None else [kw.arg])
+            unset += [f"{path.stem}.{fn.name}({p})" for p in defaulted
+                      if p not in set_by_callers]
+    assert unset == []

@@ -22,6 +22,7 @@ from chbreak import (
     Field,
     Grid,
     InitialDatum,
+    NumericsError,
     RunConfig,
     band_limit,
     check_edge_decay,
@@ -649,6 +650,20 @@ class TestFieldAlgebra:
         b = _band_noise(Grid(L, 512), seed=1)
         with pytest.raises(ValueError):
             a + b
+
+    def test_values_of_another_length_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"values shape \(128,\) does not match grid with N=256"):
+            Field(Grid(L, 256), np.zeros(128))
+
+    @pytest.mark.parametrize("op", [deriv, conv_P_plus, conv_P_minus],
+                             ids=lambda op: op.__name__)
+    def test_non_finite_input_rejected(self, op):
+        g = Grid(L, 256)
+        v = np.exp(-g.x ** 2)
+        v[3] = np.nan
+        with pytest.raises(NumericsError, match=f"non-finite values in {op.__name__} input"):
+            op(Field(g, v))
 
 
 @settings(max_examples=25, deadline=None)

@@ -30,6 +30,7 @@ from chbreak import (
     slope_threshold,
 )
 from chbreak.criteria import _assess
+from chbreak import model
 from chbreak.model import _nonlinear_spectra
 from reference import (NATIVE_GRID_TOL, bounded_forcing, padded_reference, rel_gap,
                        slope_rhs)
@@ -447,8 +448,7 @@ class TestFindBreakingDatum:
     def test_widest_qualifying_width(self):
         # the scan runs wide to narrow, so any wider member of the family
         # must miss the margin the result achieved
-        res = find_breaking_datum("antisym_peak", delta=0.0, amplitude=2.0,
-                                  margin=0.10)
+        res = find_breaking_datum("antisym_peak", delta=0.0, amplitude=2.0)
         wider = InitialDatum("antisym_peak", amplitude=2.0,
                              width=res.datum.width * 1.15)
         thr = slope_threshold(0.0, forcing_constant(wider.energy()))
@@ -467,32 +467,24 @@ class TestFindBreakingDatum:
         speed = math.sqrt(res.energy / 2.0)
         assert hi - lo == pytest.approx(2.0 * speed * res.t_bound, rel=1e-12)
 
-    def test_infeasible_window(self):
+    def test_infeasible_window(self, monkeypatch):
         # wide data at small amplitude carry too much energy per unit of
         # slope; with the narrow escape hatch closed the scan must fail
-        with pytest.raises(SearchError):
-            find_breaking_datum("gaussian_derivative", delta=0.0, amplitude=0.05,
-                                width_range=(0.5, 1.0))
+        monkeypatch.setattr(model, "WIDTH_RANGE", (0.5, 1.0))
+        with pytest.raises(SearchError, match=r"width in \[0\.5, 1\]"):
+            find_breaking_datum("gaussian_derivative", delta=0.0, amplitude=0.05)
 
     def test_bad_arguments(self):
         with pytest.raises(ConfigError):
             find_breaking_datum(criterion="both")
         with pytest.raises(ConfigError):
             find_breaking_datum(family="samples")
-        with pytest.raises(ConfigError):
-            find_breaking_datum(width_range=(1.0, 0.5))
 
     @pytest.mark.parametrize("amplitude", [-1.0, 0.0])
     def test_slope_only_needs_a_positive_amplitude(self, amplitude):
         # the closed-form slope minimum exists only for amplitude > 0
         with pytest.raises(ConfigError, match="amplitude > 0"):
             find_breaking_datum(criterion="slope_only", amplitude=amplitude)
-
-    @pytest.mark.parametrize("margin", [-0.5, 0.0, math.nan, math.inf])
-    def test_margin_must_be_positive_and_finite(self, margin):
-        # margin <= 0 would accept the first width even where the criterion fails
-        with pytest.raises(ConfigError, match="margin"):
-            find_breaking_datum(criterion="mixed", delta=0.1, margin=margin)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_delta_must_be_finite(self, delta):

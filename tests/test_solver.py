@@ -494,7 +494,7 @@ class TestCollapseSwitch:
                              energy0=energy, dissipative=True)
         drifts = []
         monkeypatch.setattr(solver, "advance_frozen",
-                            lambda tracks, t, dt, drift, forcing, profile, k1=None:
+                            lambda track, t, dt, drift, forcing, profile, k1=None:
                             drifts.append(drift))
         solver._continue_collapse(cfg, outcome, lambda *rec: None, SolverState(0.0, u),
                                   m, j, energy)
