@@ -308,12 +308,15 @@ def _cmd_sweep(args) -> int:
     for flag, values in (("--amplitudes", args.amplitudes), ("--widths", args.widths),
                          ("--deltas", args.deltas)):
         _need_values(flag, values)
-    cfg = load_config(args.config)
+
+    def constant_template(profile):   # each cell's RunConfig checks its own profile
+        if profile.kind != "constant":
+            raise ConfigError("--deltas requires a constant dissipation profile")
+        return DissipationProfile.constant(*profile.params)
+    cfg = load_config(args.config, constant_template if args.deltas else None)
     if cfg.datum.family == "samples":
         raise ConfigError("sweep needs an analytic datum family as the template")
     deltas = args.deltas if args.deltas else [None]
-    if args.deltas and cfg.profile.kind != "constant":
-        raise ConfigError("--deltas requires a constant dissipation profile")
     cells = []
     index = 0
     for delta in deltas:

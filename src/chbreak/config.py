@@ -143,7 +143,8 @@ def _build_datum(sec: dict) -> InitialDatum:
     return InitialDatum(family=family, **{k: v for k, v in sec.items() if k != "family"})
 
 
-def parse_config(text: str, path: str = "<config>") -> RunConfig:
+def parse_config(text: str, path: str = "<config>", adapt_profile=None) -> RunConfig:
+    """adapt_profile, if given, maps the file's profile to the one RunConfig checks."""
     data = _validate_and_convert(text, path)
     try:    # past the line scan, every error names the path here, once
         try:
@@ -154,6 +155,8 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             if name not in data:
                 raise ConfigError(f"missing section [{name}]")
         datum, profile = _build_datum(data["datum"]), _build_profile(data["dissipation"])
+        if adapt_profile is not None:
+            profile = adapt_profile(profile)
         _require(data, "solver", "t_end")
         return RunConfig(grid=grid, datum=datum, profile=profile,
                          seeds=data.get("characteristics", {}).get("seeds", ()),
@@ -162,18 +165,18 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, adapt_profile=None) -> RunConfig:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")   # a leading byte-order mark is not text
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{path}:{line}: not UTF-8 text") from None
-    return parse_config(text, path)
+    return parse_config(text, path, adapt_profile)
 
 
 def _fmt(value) -> str:

@@ -361,7 +361,6 @@ def conv_P_minus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
 _FINE = 64
 _TILE_ROWS = 32
 _TILE = _TILE_ROWS * _FINE
-_STEP_ORDERS = 1j * np.array([_FINE, 1.0])
 
 
 def _tile_count(count: int) -> int:
@@ -369,32 +368,24 @@ def _tile_count(count: int) -> int:
     return -(-count // _TILE)
 
 
-def _phases(theta: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """e^(i theta k) for k = 0..count-1 as two short tables, one row per entry
-    of theta: coarse e^(i theta _FINE a) for every a of _tile_count(count)
-    tiles, and fine e^(i theta b) for b < _FINE, so e^(i theta k) is
-    coarse[:, a] * fine[:, b]. Each row is a running product of one complex
-    exponential, e^(i theta _FINE) or e^(i theta): a point costs two.
-    """
-    rows = _TILE_ROWS * _tile_count(count)
-    table = np.ones((2, theta.size, max(rows, _FINE)), dtype=complex)
-    table[:, :, 1:] = np.exp(np.multiply.outer(_STEP_ORDERS, theta))[:, :, None]
-    np.multiply.accumulate(table, axis=2, out=table)
-    return _read_only(table)[0, :, :rows], table[1, :, :_FINE]
+@lru_cache(maxsize=None)
+def _phase_exponents(n_points: int) -> np.ndarray:
+    """i k for each entry of a point's phase table, read-only: b < _FINE (fine),
+    -_FINE a for each tile row a (coarse, conjugated up front) and N/2 (Nyquist)."""
+    a = np.arange(_TILE_ROWS * _tile_count(n_points // 2))
+    return _read_only(1j * np.concatenate((np.arange(_FINE), -_FINE * a, [n_points // 2])))
 
 
 @lru_cache(maxsize=1)
 def _point_phases(half_length: float, n_points: int,
                   points: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-    """interp's read-only tables for a tuple of points of [-L, L): the fine
-    one, the conjugate coarse one as (real, imaginary) pairs, and the Nyquist
-    phase Re e^(i theta N/2) = Re coarse[a] fine[b], N/2 = _FINE a + b."""
+    """interp's read-only tables for a tuple of points of [-L, L), views of one
+    table of e^(i theta k), one exponential per entry of _phase_exponents: the
+    fine one, the coarse one as (real, imaginary) pairs, and Re e^(i theta N/2)."""
     theta = np.array([(p + half_length) * (np.pi / half_length) for p in points])
-    coarse, fine = _phases(theta, n_points // 2 + 1)
-    a, b = divmod(n_points // 2, _FINE)
-    nyquist = _read_only((coarse[:, a:a + 1] * fine[:, b:b + 1]).real)
-    pairs = _read_only(np.conj(coarse[:, :_TILE_ROWS * _tile_count(n_points // 2)]).view(float))
-    return fine[:, None, None, :, None], pairs[:, None, None, :], nyquist
+    table = _read_only(np.exp(np.multiply.outer(theta, _phase_exponents(n_points))))
+    pairs = table[:, _FINE:-1].view(float)
+    return table[:, None, None, :_FINE, None], pairs[:, None, None, :], table[:, -1:].real
 
 
 @lru_cache(maxsize=1)
@@ -412,11 +403,12 @@ def interp(f: Field | tuple[Field, ...], points) -> np.ndarray | float:
     Scalar in, scalar out; array in, array out; exact at the nodes. A
     point's value is Re sum_a coarse_a (tile_a @ fine) over the cached tiles
     of modes 0..N/2-1 (Field.spectrum_tiles), one stacked matmul and one dot
-    product, plus the Nyquist term. For a tuple of fields on one grid, one
-    phase lookup and one stacked matmul give one row per field, each bit for
-    bit that field's own call. The previous call's phase tables are reused
-    when L, N and the points match. Each point is summed on its own, so its
-    value does not depend on which other points came with it.
+    product, plus the Nyquist term; its phases are one exponential each, and
+    the previous call's table (_point_phases) is reused when L, N and the
+    points match. For a tuple of fields on one grid, one phase lookup and one
+    stacked matmul give one row per field, each bit for bit that field's own
+    call. Each point is summed on its own, so its value does not depend on
+    which other points came with it.
     """
     grid = (f[0] if isinstance(f, tuple) else f).grid
     scalar = isinstance(points, (int, float, np.number))

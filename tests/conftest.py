@@ -35,19 +35,15 @@ def fft_lengths(monkeypatch):
 
 
 @pytest.fixture
-def phase_builds(monkeypatch):
-    """phase_builds(action) calls action and returns how many times it called
-    chbreak.grid._phases, starting from an empty interp phase-table cache."""
-    from chbreak import grid
-    calls = []
-    real_phases = grid._phases
-    monkeypatch.setattr(grid, "_phases",
-                        lambda theta, count: calls.append(1) or real_phases(theta, count))
+def phase_builds():
+    """phase_builds(action) calls action and returns how many phase tables
+    interp built for it: the misses of chbreak.grid._point_phases, starting
+    from an empty cache."""
+    from chbreak.grid import _point_phases
 
     def count(action):
-        grid._point_phases.cache_clear()
-        calls.clear()
+        _point_phases.cache_clear()
         action()
-        return len(calls)
+        return _point_phases.cache_info().misses
 
     return count

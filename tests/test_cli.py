@@ -439,6 +439,22 @@ class TestSweep:
                      "--deltas", "0.0 0.1", "--workers", "1"]) == 2
         assert "constant dissipation" in capsys.readouterr().err
 
+    def test_deltas_replace_a_template_profile_that_fails_its_horizon(self, tmp_path, capsys):
+        # every cell runs under its own --deltas profile, and each cell's
+        # RunConfig checks that profile; the template's delta_sup is never used
+        p = tmp_path / "low_sup.ini"
+        p.write_text(SMOOTH.replace("value = 0.2", "value = 0.2\ndelta_sup = 0.1"))
+        dest = tmp_path / "sweep.csv"
+        assert main(["sweep", str(p), "--amplitudes", "0.3", "--widths", "1.0",
+                     "--deltas", "0.2", "--workers", "1", "--csv", str(dest)]) == 0
+        record = dict(zip(SWEEP_COLUMNS, _read_csv(dest)[1]))
+        assert (record["status"], record["delta"]) == ("ok", "0.2")
+        capsys.readouterr()
+        assert main(["sweep", str(p), "--amplitudes", "0.3", "--widths", "1.0",
+                     "--workers", "1"]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: {p}: delta_sup=0.1 is below max lambda = 0.2 on [0, 0.3]\n")
+
     def test_worker_count_precedence(self, monkeypatch):
         assert _workers(4) == 4
         assert _workers(0) == 1

@@ -311,6 +311,16 @@ def test_load_config_roundtrip(tmp_path):
     assert load_config(str(p)) == parse_config(FULL)
 
 
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.ini"
+    p.write_bytes(b"\xef\xbb\xbf" + FULL.encode("utf-8"))
+    assert load_config(str(p)) == parse_config(FULL)
+    # lines are still counted from the top of the file
+    p.write_bytes(b"\xef\xbb\xbf[grid]\nhalf_length = 30\xff\n")
+    with pytest.raises(ConfigError, match=r"bom\.ini:2: not UTF-8 text$"):
+        load_config(str(p))
+
+
 def test_readme_example_parses():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)

@@ -35,7 +35,7 @@ from chbreak import (
     smoothed_edge_decay,
     tail_fraction,
 )
-from chbreak.grid import _exp_march, _exp_moments, _phases, _point_phases, from_spectrum
+from chbreak.grid import _exp_march, _exp_moments, _point_phases, from_spectrum
 from chbreak.model import _nonlinear_spectra
 from reference import helmholtz_inverse, second_deriv
 
@@ -386,11 +386,9 @@ def _interp_weights(grid):
 
 
 # Float64 bound on the phase error, fixed before measuring: theta*k is at
-# most 2 pi * 8192 ~ 5.1e4 at N = 16384, so each rounded argument of the
-# direct route is off by up to half an ulp, 3.6e-12. The two tables are
-# running products of e^(i theta) and e^(i theta 64) (64 theta is exact),
-# each step adding a few ulp: under 1e-13 after the 160 coarse and 64 fine
-# factors of N = 16384. So the routes differ by about 3.6e-12.
+# most 2 pi * 8192 ~ 5.1e4 at N = 16384, so each rounded argument is off by
+# up to half an ulp, 3.6e-12. The phase tables and the direct route each take
+# one exponential of such an argument per entry.
 PHASE_TOL = 1e-11
 
 
@@ -408,15 +406,18 @@ def _check_direct_route(u, pts):
 class TestInterpSpectrumCache:
     def test_two_table_phases_match_direct_exponentials(self):
         g = Grid(L, 16384)
-        count = g.n_points // 2 + 1
-        rng = np.random.default_rng(3)
-        theta = rng.uniform(0.0, 2.0 * np.pi, 40)
-        direct = np.exp(1j * theta[:, None] * np.arange(count))
-        coarse, fine = _phases(theta, count)
-        assert fine.shape == (theta.size, 64)
-        assert coarse.shape[0] == theta.size and 64 * coarse.shape[1] >= count
-        rebuilt = (coarse[:, :, None] * fine[:, None, :]).reshape(theta.size, -1)[:, :count]
-        assert np.max(np.abs(rebuilt - direct)) < PHASE_TOL
+        half = g.n_points // 2
+        pts = np.random.default_rng(3).uniform(-L, L, 40)
+        fine, pairs, nyquist = _point_phases(g.half_length, g.n_points, tuple(pts.tolist()))
+        fine, coarse = fine[:, 0, 0, :, 0], pairs[:, 0, 0, :].view(complex)
+        assert fine.shape == (pts.size, 64) and 64 * coarse.shape[1] >= half
+        theta = np.array([(p + L) * (np.pi / L) for p in pts])[:, None]
+        # the coarse table holds e^(-i theta 64 a), conjugated up front
+        for table, order in ((fine, np.arange(64)), (coarse, -64.0 * np.arange(coarse.shape[1]))):
+            assert np.array_equal(table, np.exp(1j * theta * order))
+        assert np.array_equal(nyquist, np.exp(1j * theta * half).real)
+        rebuilt = (np.conj(coarse)[:, :, None] * fine[:, None, :]).reshape(pts.size, -1)[:, :half]
+        assert np.max(np.abs(rebuilt - np.exp(1j * theta * np.arange(half)))) < PHASE_TOL
 
     def test_cached_spectrum_is_weighted_rfft_bit_for_bit(self):
         # the tiles hold modes 0..N/2-1 over N; the Nyquist mode comes apart
