@@ -6,10 +6,10 @@ standalone), sweep (a batch of runs over datum cells), version.
 
 Exit codes: 0 success, 2 configuration error or unwritable output, 3 run
 failure (step underflow, loss of edge decay, failed search, a riccati march
-past its step cap, or any failed sweep cell). Machine outputs are
-deterministic: CSV floats use repr (shortest round-trip form), JSON is
-sorted and newline-terminated, and wall-clock time goes to the console
-only, never into files.
+past its step cap, any failed sweep cell, or running out of memory).
+Machine outputs are deterministic: CSV floats use repr (shortest round-trip
+form), JSON is sorted and newline-terminated, and wall-clock time goes to
+the console only, never into files.
 """
 
 from __future__ import annotations
@@ -438,6 +438,9 @@ def main(argv=None) -> int:
     except ChbreakError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,27 +18,22 @@ from dataclasses import fields
 
 from .errors import ConfigError
 from .grid import Grid
-from .model import DATUM_FAMILIES, DATUM_KEYS, DissipationProfile, InitialDatum, PROFILE_KINDS
+from .model import DATUM_KEYS, PROFILE_KEYS, DissipationProfile, InitialDatum
 from .solver import RunConfig
 
 _FLOAT_LIST = "float_list"
 _NUMBER_TYPES = {"float": float, "int": int}   # RunConfig's annotations are strings
 
-# [dissipation] parameter keys of each kind, in constructor order. delta_sup
-# follows them; only linear_ramp must give it, the others imply a ceiling.
-_PROFILE_KEYS = {"constant": ("value",), "linear_ramp": ("start", "ramp_rate"),
-                 "sinusoidal": ("offset", "amplitude", "omega"),
-                 "piecewise": ("times", "values")}
 # the key that picks a section's variant, and the keys each variant takes
 # (besides delta_sup, which every kind takes)
-_VARIANT_KEYS = {"datum": ("family", DATUM_KEYS), "dissipation": ("kind", _PROFILE_KEYS)}
+_VARIANT_KEYS = {"datum": ("family", DATUM_KEYS), "dissipation": ("kind", PROFILE_KEYS)}
 _SCHEMA: dict[str, dict[str, object]] = {
     "grid": {"half_length": float, "n_points": int},
     "datum": {"family": str, "amplitude": float, "width": float,
               "center": float, "values": _FLOAT_LIST},
     "dissipation": {"kind": str, "delta_sup": float,
                     **{key: _FLOAT_LIST if kind == "piecewise" else float
-                       for kind, keys in _PROFILE_KEYS.items() for key in keys}},
+                       for kind, keys in PROFILE_KEYS.items() for key in keys}},
     "solver": {f.name: _NUMBER_TYPES[f.type] for f in fields(RunConfig)
                if f.type in _NUMBER_TYPES},
     "characteristics": {"seeds": _FLOAT_LIST},
@@ -120,27 +115,20 @@ def _require(data: dict, section: str, key: str):
     return data[section][key]
 
 
-def _build_profile(sec: dict) -> DissipationProfile:
-    kind = sec.get("kind")
-    if kind not in PROFILE_KINDS:
-        raise ConfigError(f"[dissipation] kind must be one of {PROFILE_KINDS}, got {kind!r}")
-    keys = _PROFILE_KEYS[kind]
-    required = keys + (("delta_sup",) if kind == "linear_ramp" else ())
-    missing = [k for k in required if k not in sec]
+def _variant(data: dict, name: str) -> dict:
+    """Section [name] with a known variant and every key that variant needs:
+    all it takes but a datum's center, and a linear_ramp's delta_sup."""
+    if name not in data:
+        raise ConfigError(f"missing section [{name}]")
+    sec, (tag, variants) = data[name], _VARIANT_KEYS[name]
+    variant = sec.get(tag)
+    if variant not in variants:
+        raise ConfigError(f"[{name}] {tag} must be one of {tuple(variants)}, got {variant!r}")
+    needs = (*variants[variant], "delta_sup") if variant == "linear_ramp" else variants[variant]
+    missing = [k for k in needs if k != "center" and k not in sec]
     if missing:
-        raise ConfigError(f"[dissipation] kind {kind!r} needs {', '.join(missing)}")
-    make = getattr(DissipationProfile, kind)
-    return make(*(sec[k] for k in keys), sec.get("delta_sup"))
-
-
-def _build_datum(sec: dict) -> InitialDatum:
-    family = sec.get("family")
-    if family not in DATUM_FAMILIES:
-        raise ConfigError(f"[datum] family must be one of {DATUM_FAMILIES}, got {family!r}")
-    missing = [k for k in DATUM_KEYS[family] if k != "center" and k not in sec]
-    if missing:
-        raise ConfigError(f"[datum] family {family!r} needs {missing[0]}")
-    return InitialDatum(family=family, **{k: v for k, v in sec.items() if k != "family"})
+        raise ConfigError(f"[{name}] {tag} {variant!r} needs {', '.join(missing)}")
+    return sec
 
 
 def parse_config(text: str, path: str = "<config>", adapt_profile=None) -> RunConfig:
@@ -151,10 +139,10 @@ def parse_config(text: str, path: str = "<config>", adapt_profile=None) -> RunCo
             grid = Grid(_require(data, "grid", "half_length"), _require(data, "grid", "n_points"))
         except ValueError as exc:
             raise ConfigError(f"[grid] {exc}") from None
-        for name in ("datum", "dissipation"):
-            if name not in data:
-                raise ConfigError(f"missing section [{name}]")
-        datum, profile = _build_datum(data["datum"]), _build_profile(data["dissipation"])
+        datum, diss = InitialDatum(**_variant(data, "datum")), _variant(data, "dissipation")
+        # each kind's constructor takes its keys by name
+        profile = getattr(DissipationProfile, diss["kind"])(
+            **{k: v for k, v in diss.items() if k != "kind"})
         if adapt_profile is not None:
             profile = adapt_profile(profile)
         _require(data, "solver", "t_end")
@@ -207,7 +195,7 @@ def emit_config(cfg: RunConfig) -> str:
                       *((k, getattr(d, k)) for k in DATUM_KEYS[d.family])])
     p = cfg.profile
     values = (p.knot_times, p.knot_values) if p.kind == "piecewise" else p.params
-    diss_pairs = [("kind", p.kind), *zip(_PROFILE_KEYS[p.kind], values),
+    diss_pairs = [("kind", p.kind), *zip(PROFILE_KEYS[p.kind], values),
                   ("delta_sup", p.delta_sup)]
     section("dissipation", diss_pairs)
     section("solver", [(k, getattr(cfg, k)) for k in _SCHEMA["solver"]])

@@ -85,6 +85,10 @@ class Grid:
             raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
         if self.n_points < 16 or self.n_points & (self.n_points - 1) != 0:
             raise ValueError(f"n_points must be a power of two and >= 16, got {self.n_points}")
+        limit = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+        if self.n_points > limit:
+            raise ValueError(f"n_points must be at most {limit}, the most complex values "
+                             f"numpy can address in one array, got {self.n_points}")
 
     @cached_property
     def dx(self) -> float:

@@ -39,7 +39,11 @@ DATUM_FAMILIES = ("gaussian_derivative", "sech_squared", "antisym_peak", "sample
 # the InitialDatum fields each family takes; a config needs all but center
 DATUM_KEYS = {family: ("values",) if family == "samples" else ("amplitude", "width", "center")
               for family in DATUM_FAMILIES}
-PROFILE_KINDS = ("constant", "linear_ramp", "sinusoidal", "piecewise")
+# each dissipation kind's constructor arguments before delta_sup, which only
+# linear_ramp must give (the others imply a ceiling)
+PROFILE_KEYS = {"constant": ("value",), "linear_ramp": ("start", "ramp_rate"),
+                "sinusoidal": ("offset", "amplitude", "omega"), "piecewise": ("times", "values")}
+PROFILE_KINDS = tuple(PROFILE_KEYS)
 MIXED_SAMPLE_INTERVALS = 8192
 WIDTH_SCAN_POINTS = 96   # widths find_breaking_datum tries, geometrically spaced
 WIDTH_RANGE = (0.04, 1.0)   # over this range, widest first

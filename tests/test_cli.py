@@ -309,6 +309,16 @@ class TestSimulate:
         assert main(["simulate", str(p)]) == 3
         assert "edge_decay_lost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,shown", [
+        ("Unable to allocate 8.00 TiB for an array", "Unable to allocate 8.00 TiB for an array"),
+        ("", "an allocation failed")], ids=["numpy", "bare"])
+    def test_out_of_memory_exit_code(self, smooth_cfg, capsys, monkeypatch, text, shown):
+        def no_memory(cfg, sink=None):
+            raise MemoryError(text)
+        monkeypatch.setattr(chbreak.cli, "run", no_memory)
+        assert main(["simulate", smooth_cfg]) == 3
+        assert _one_error_line(capsys) == f"error: out of memory: {shown}\n"
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "absent.ini")]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -744,6 +754,16 @@ class TestBadInputExitsTwo:
         err = _one_error_line(capsys)
         assert err == f"error: {path}: samples datum has 3 values, grid wants 512\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "criteria"])
+    def test_grid_numpy_cannot_address(self, tmp_path, capsys, command):
+        # 2**62 points: numpy refuses to size the grid's arrays; nothing is allocated
+        path = tmp_path / "huge.ini"
+        path.write_text(SMOOTH.replace("n_points = 512", f"n_points = {2 ** 62}"))
+        assert main([command, str(path)]) == 2
+        err = _one_error_line(capsys)
+        assert err.startswith(f"error: {path}: [grid] n_points must be at most ")
+        assert err.endswith(f"got {2 ** 62}\n")
 
 
 def test_import_leaves_scipy_signal_unloaded():

@@ -10,6 +10,7 @@ import pytest
 from chbreak import (ConfigError, Grid, InitialDatum, RunConfig, emit_config, load_config,
                      parse_config)
 from chbreak.config import _SCHEMA
+from chbreak.model import DATUM_FAMILIES, PROFILE_KINDS
 
 FULL = """\
 # full configuration exercising every section
@@ -62,6 +63,23 @@ value = 0.0
 [solver]
 t_end = 0.5
 """
+
+# one config per datum family x dissipation kind, on 16 points; a family or
+# kind with no entry here fails at import
+_DATUM_LINES = {"gaussian_derivative": "amplitude = 0.8\nwidth = 1.3\ncenter = 0.7",
+                "sech_squared": "amplitude = 0.4\nwidth = 1.0",
+                "antisym_peak": "amplitude = 0.4\nwidth = 2.0\ncenter = -1.5",
+                "samples": "values = " + " ".join(f"{math.sin(i):.6f}" for i in range(16))}
+_PROFILE_LINES = {"constant": "value = 0.1",
+                  "linear_ramp": "start = 0.1\nramp_rate = -0.05\ndelta_sup = 0.1",
+                  "sinusoidal": "offset = 0.2\namplitude = 0.2\nomega = 1.5",
+                  "piecewise": "times = 0.0 1.0\nvalues = 0.2 0.3\ndelta_sup = 0.5"}
+EVERY_FAMILY_AND_KIND = [pytest.param(
+    MINIMAL.replace("n_points = 256", "n_points = 16").replace(
+        "family = sech_squared\namplitude = 0.4\nwidth = 1.0",
+        f"family = {family}\n{_DATUM_LINES[family]}").replace(
+        "kind = constant\nvalue = 0.0", f"kind = {kind}\n{_PROFILE_LINES[kind]}"),
+    id=f"{family}-{kind}") for family in DATUM_FAMILIES for kind in PROFILE_KINDS]
 
 
 class TestParse:
@@ -178,6 +196,10 @@ class TestErrors:
                            "[datum] family 'sech_squared' needs width")
         assert msg.startswith("test.ini: ")
 
+    def test_datum_missing_parameters_are_all_named(self):
+        self._raises(MINIMAL.replace("amplitude = 0.4\nwidth = 1.0\n", ""),
+                     "[datum] family 'sech_squared' needs amplitude, width")
+
     def test_missing_required(self):
         self._raises(MINIMAL.replace("t_end = 0.5", "record_stride = 1"),
                      "missing required [solver] t_end")
@@ -212,7 +234,7 @@ class TestErrors:
 
 
 class TestEmit:
-    @pytest.mark.parametrize("text", [FULL, MINIMAL])
+    @pytest.mark.parametrize("text", [FULL, MINIMAL, *EVERY_FAMILY_AND_KIND])
     def test_roundtrip_identity(self, text):
         cfg = parse_config(text)
         again = parse_config(emit_config(cfg))
