@@ -42,8 +42,7 @@ class TrackAux:
     slope_field: Field
 
 
-def build_aux(u: Field, t: float, profile: DissipationProfile,
-              edge_tol: float) -> TrackAux:
+def build_aux(u: Field, t: float, profile: DissipationProfile) -> TrackAux:
     """Every per-step field the tracks read, from one pass of the kernel.
 
     ux and rhs_field equal deriv and rhs of u bit for bit; they only share
@@ -54,8 +53,8 @@ def build_aux(u: Field, t: float, profile: DissipationProfile,
     lam = profile.rate(t)
     s = _nonlinear_spectra(grid, u.values)
     flux = from_spectrum(grid, s.flux)
-    plus = conv_P_plus(flux, edge_tol)
-    minus = conv_P_minus(flux, edge_tol)
+    plus = conv_P_plus(flux)
+    minus = conv_P_minus(flux)
     return TrackAux(
         t=t,
         lam=lam,

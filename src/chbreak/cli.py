@@ -142,7 +142,7 @@ def _run_summary(cfg: RunConfig, outcome, est) -> dict:
 
 def _criteria_reports(cfg: RunConfig):
     """Both breaking criteria for the config's gridded datum."""
-    u0 = make_datum(cfg.datum, cfg.grid, cfg.edge_tol)
+    u0 = make_datum(cfg.datum, cfg.grid)
     delta = cfg.profile.delta_sup
     return check_criterion1(u0, delta), check_criterion2(u0, delta)
 
@@ -277,7 +277,7 @@ def _sweep_cell(packed):
         if delta is not None:
             profile = DissipationProfile.constant(delta)
         cfg = dataclasses.replace(template, datum=datum, profile=profile)
-        rep = check_criterion1(make_datum(datum, cfg.grid, cfg.edge_tol), profile.delta_sup)
+        rep = check_criterion1(make_datum(datum, cfg.grid), profile.delta_sup)
         outcome = run(cfg)
         est = estimate_blowup(outcome.records)
         return {

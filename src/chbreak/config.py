@@ -180,13 +180,10 @@ def emit_config(cfg: RunConfig) -> str:
     lines: list[str] = []
 
     def section(name: str, pairs) -> None:
-        body = [(k, v) for k, v in pairs if v is not None]
-        if not body:
-            return
         if lines:
             lines.append("")
         lines.append(f"[{name}]")
-        lines.extend(f"{k} = {_fmt(v)}" for k, v in body)
+        lines.extend(f"{k} = {_fmt(v)}" for k, v in pairs)
 
     section("grid", [("half_length", cfg.grid.half_length),
                      ("n_points", cfg.grid.n_points)])

@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericsError
 from .grid import Field, deriv, h1_norm_sq
-from .model import InitialDatum
 from .riccati import omega_bound, two_sided_bound
+
+if TYPE_CHECKING:
+    from .model import InitialDatum
 
 
 def forcing_constant(energy: float) -> float:

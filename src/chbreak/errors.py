@@ -15,7 +15,7 @@ class EdgeDecayError(ChbreakError):
     The domain is a periodic truncation of the line, so every operation that
     pretends the field lives on the whole line (one-sided convolutions, the
     decay-based energy identities) requires the field to vanish at the edges
-    to within edge_tol times its maximum.
+    to within the fixed grid.EDGE_TOL times its maximum.
     """
 
 

@@ -23,7 +23,9 @@ import numpy as np
 
 from .errors import EdgeDecayError, NumericsError
 
-DEFAULT_EDGE_TOL = 1e-8
+# the edge-decay precondition of the line kernels: edge values within this
+# fraction of the peak. Fixed, so no run drives the kernels off the line.
+EDGE_TOL = 1e-8
 
 # cubic Lagrange basis on nodes tau = -1, 0, 1, 2; row i holds the
 # coefficients of tau^0..tau^3 for the polynomial that is 1 at node i
@@ -269,7 +271,7 @@ def tail_fraction(f: Field) -> float:
 # One-sided exponential convolutions (line kernels on the truncated domain)
 
 
-def check_edge_decay(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> bool:
+def check_edge_decay(f: Field) -> bool:
     """True when the field's raw values at the domain edges are negligible.
 
     Right for vetting initial data. For evolving states near breaking prefer
@@ -277,26 +279,26 @@ def check_edge_decay(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> bool:
     those sinc tails decay only polynomially in x, so they pollute raw edge
     values at an amplitude that says nothing about boundary mass.
     """
-    return _edges_negligible(f.values, edge_tol)
+    return _edges_negligible(f.values)
 
 
-def _edges_negligible(v: np.ndarray, edge_tol: float) -> bool:
-    """The two nodes at each end are within edge_tol of the peak magnitude."""
+def _edges_negligible(v: np.ndarray) -> bool:
+    """The two nodes at each end are within EDGE_TOL of the peak magnitude."""
     peak = float(np.max(np.abs(v)))
     if peak == 0.0:
         return True
     edge = max(float(np.max(np.abs(v[:2]))), float(np.max(np.abs(v[-2:]))))
-    return edge <= edge_tol * peak
+    return edge <= EDGE_TOL * peak
 
 
-def smoothed_edge_decay(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> bool:
+def smoothed_edge_decay(f: Field) -> bool:
     """Edge-decay test on the Helmholtz smoothing of f.
 
     The 1/(1 + k^2) multiplier suppresses band-edge ringing by orders of
     magnitude while leaving genuine (low-frequency) mass transported to the
     boundary intact, so this is the right monitor while a front sharpens.
     """
-    return _edges_negligible(f.smoothed_values, edge_tol)
+    return _edges_negligible(f.smoothed_values)
 
 
 def _exp_march(grid: Grid, c: np.ndarray) -> np.ndarray:
@@ -311,13 +313,12 @@ def _exp_march(grid: Grid, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _one_sided_march(f: Field, edge_tol: float, left_weights: bool,
-                     name: str) -> np.ndarray:
+def _one_sided_march(f: Field, left_weights: bool, name: str) -> np.ndarray:
     """Running integrals of a one-sided kernel, marched over the cells from
     its open end, after checking its preconditions (finite input, edge
     decay)."""
     _require_finite(f.values, f"{name} input")
-    if not smoothed_edge_decay(f, edge_tol):
+    if not smoothed_edge_decay(f):
         raise EdgeDecayError(f"{name}: field does not decay at the domain edges")
     w_right, w_left = f.grid._conv_weights
     w = w_left if left_weights else w_right
@@ -334,7 +335,7 @@ def _one_sided_march(f: Field, edge_tol: float, left_weights: bool,
     return _exp_march(f.grid, cells[::order])[::order]
 
 
-def conv_P_plus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
+def conv_P_plus(f: Field) -> Field:
     """Left-sided kernel: (1/2) e^(-x) integral_(-inf)^x e^y f(y) dy.
 
     Marches the exact recurrence I(x_(j+1)) = e^(-dx) I(x_j) + cell_j with
@@ -343,13 +344,13 @@ def conv_P_plus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
     low-frequency effect, and band-edge ringing is harmless at this
     tolerance because the kernel weights it by at most one).
     """
-    running = _one_sided_march(f, edge_tol, False, "conv_P_plus")
+    running = _one_sided_march(f, False, "conv_P_plus")
     return Field(f.grid, 0.5 * np.concatenate(([0.0], running[:-1])))
 
 
-def conv_P_minus(f: Field, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
+def conv_P_minus(f: Field) -> Field:
     """Right-sided kernel: (1/2) e^x integral_x^inf e^(-y) f(y) dy."""
-    return Field(f.grid, 0.5 * _one_sided_march(f, edge_tol, True, "conv_P_minus"))
+    return Field(f.grid, 0.5 * _one_sided_march(f, True, "conv_P_minus"))
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .criteria import BreakingSearchResult, _assess
 from .errors import ConfigError, EdgeDecayError, SearchError
 from .grid import (
-    DEFAULT_EDGE_TOL,
     Field,
     Grid,
     band_limit,
@@ -31,9 +31,6 @@ from .grid import (
     check_edge_decay,
     from_spectrum,
 )
-
-if TYPE_CHECKING:
-    from .criteria import BreakingSearchResult
 
 DATUM_FAMILIES = ("gaussian_derivative", "sech_squared", "antisym_peak", "samples")
 # the InitialDatum fields each family takes; a config needs all but center
@@ -73,6 +70,12 @@ class DissipationProfile:
         if self.kind not in PROFILE_KINDS:
             raise ConfigError(f"profile kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
         ts, vs = self.knot_times, self.knot_values
+        # rate() reads one param per key; emit_config writes only the kind's keys
+        keys = () if self.kind == "piecewise" else PROFILE_KEYS[self.kind]
+        if len(self.params) != len(keys):
+            raise ConfigError(f"{self.kind} profile takes params {keys}, got {self.params}")
+        if self.kind != "piecewise" and (ts or vs):
+            raise ConfigError(f"{self.kind} profile takes no knots")
         if not all(math.isfinite(v) for v in (*self.params, self.delta_sup, *ts, *vs)):
             raise ConfigError(f"{self.kind} profile values and delta_sup must be finite")
         if self.kind == "sinusoidal" and self.params[2] == 0.0:
@@ -269,7 +272,7 @@ class InitialDatum:
         raise ConfigError("samples datum energy requires a grid; use h1_norm_sq")
 
 
-def make_datum(datum: InitialDatum, grid: Grid, edge_tol: float = DEFAULT_EDGE_TOL) -> Field:
+def make_datum(datum: InitialDatum, grid: Grid) -> Field:
     """Sample the datum on the grid, band-limit it, and vet edge decay."""
     if datum.family == "samples":
         v = np.asarray(datum.values, dtype=float)
@@ -283,7 +286,7 @@ def make_datum(datum: InitialDatum, grid: Grid, edge_tol: float = DEFAULT_EDGE_T
                 f"datum with width {datum.width:g} does not fit in [-{grid.half_length:g}, {grid.half_length:g})")
         raw = Field(grid, datum.evaluate(grid.x))
     out = band_limit(raw)
-    if not check_edge_decay(out, edge_tol):
+    if not check_edge_decay(out):
         raise EdgeDecayError("initial datum does not decay at the domain edges")
     return out
 
@@ -398,8 +401,6 @@ def find_breaking_datum(
     the criterion's report on the line profile. Raises SearchError when no
     width in WIDTH_RANGE reaches SEARCH_MARGIN.
     """
-    from .criteria import BreakingSearchResult, _assess
-
     if criterion not in ("slope_only", "mixed"):
         raise ConfigError(f"unknown criterion {criterion!r}")
     if family == "samples":

@@ -33,7 +33,6 @@ from .criteria import forcing_constant, slope_threshold
 from .diagnostics import DiagnosticsRecord
 from .errors import EdgeDecayError, NumericsError
 from .grid import (
-    DEFAULT_EDGE_TOL,
     Field,
     Grid,
     deriv,
@@ -80,7 +79,6 @@ class RunConfig:
     seeds: tuple[float, ...] = ()
     tail_tol: float = 1.0e-6
     collapse_margin: float = 1.05
-    edge_tol: float = DEFAULT_EDGE_TOL
 
     def __post_init__(self) -> None:
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
@@ -101,8 +99,6 @@ class RunConfig:
             raise ValueError("m_stop must be negative")
         if not self.tail_tol > 0.0:
             raise ValueError("tail_tol must be > 0")
-        if not self.edge_tol > 0.0:
-            raise ValueError("edge_tol must be > 0")
         half = self.grid.half_length
         if not all(-half <= s < half for s in self.seeds):
             raise ValueError(f"seeds must be finite and lie in [-L, L), L = {half:g}")
@@ -158,7 +154,8 @@ def step(state: SolverState, cfg: RunConfig, aux: TrackAux | None = None) -> Sol
     horizon), where max|lambda| is the exact max(|inf lambda|, |sup lambda|)
     on [0, t_end], so a negative lambda is capped too. The zero state steps
     cfl dx. A step producing non-finite values is rejected and retried at
-    dt/2; underflow past dt_min raises NumericsError.
+    dt/2; underflow past dt_min raises NumericsError. A step that lands on
+    a horizon closer than dt_min is no underflow, but its halvings can be.
 
     aux, when given, is build_aux of this state at its time. Its ux gives m
     and its rhs_field is RK4's first stage, for every try at this state:
@@ -179,7 +176,7 @@ def step(state: SolverState, cfg: RunConfig, aux: TrackAux | None = None) -> Sol
         cfg.t_end - state.t,
     )
     while True:
-        if dt < cfg.dt_min:
+        if dt < min(cfg.dt_min, cfg.t_end - state.t):
             raise NumericsError(f"time step underflow at t={state.t:.6g}")
         candidate = _rk4(u, state.t, dt, cfg.profile, k1)
         if np.all(np.isfinite(candidate.values)):
@@ -215,12 +212,12 @@ def run(cfg: RunConfig, sink=None) -> RunOutcome:
     time, or None once the run has switched to the frozen-field continuation.
     """
     profile = cfg.profile
-    u = make_datum(cfg.datum, cfg.grid, cfg.edge_tol)
+    u = make_datum(cfg.datum, cfg.grid)
     records: list[DiagnosticsRecord] = []
     tracks: list[CharacteristicTrack] = []
     aux = None   # build_aux of the current state, in a run with tracks
     if cfg.seeds:
-        aux = build_aux(u, 0.0, profile, cfg.edge_tol)
+        aux = build_aux(u, 0.0, profile)
         tracks = [start_track(s, aux) for s in cfg.seeds]
     m, j, energy = _measure(u, aux)
     outcome = RunOutcome(
@@ -247,11 +244,11 @@ def run(cfg: RunConfig, sink=None) -> RunOutcome:
             break
         u = state.u
         aux_new = None
-        if not smoothed_edge_decay(u, cfg.edge_tol):
+        if not smoothed_edge_decay(u):
             stop = "edge_decay_lost"
         elif aux is not None:
             try:
-                aux_new = build_aux(u, state.t, profile, cfg.edge_tol)
+                aux_new = build_aux(u, state.t, profile)
             except EdgeDecayError:
                 # the track channels need the one-sided kernels; once their
                 # input stops decaying the tracks end, and the run goes on

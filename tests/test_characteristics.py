@@ -106,7 +106,7 @@ class TestBasicTransport:
 
     def test_start_track(self):
         u = make_datum(SMOOTH_DATUM, SMOOTH_GRID)
-        aux = build_aux(u, 0.0, SMOOTH_PROFILE, 1e-8)
+        aux = build_aux(u, 0.0, SMOOTH_PROFILE)
         tr = start_track(0.5, aux)
         assert tr.seed == 0.5
         assert tr.n_samples == 1
@@ -118,7 +118,7 @@ class TestBasicTransport:
         # reference, and uxx's is the numpy route with the symbol inline
         u = make_datum(SMOOTH_DATUM, SMOOTH_GRID)
         t = 0.4
-        aux = build_aux(u, t, SMOOTH_PROFILE, 1e-8)
+        aux = build_aux(u, t, SMOOTH_PROFILE)
         assert aux.lam == SMOOTH_PROFILE.rate(t)
         for got, expect in ((aux.ux, deriv(u)), (aux.uxx, second_deriv(u)),
                             (aux.rhs_field, rhs(u, t, SMOOTH_PROFILE)),
@@ -134,7 +134,7 @@ class TestBasicTransport:
         grid = Grid(30.0, 1024)
         u = make_datum(SMOOTH_DATUM, grid)
         fft_lengths.clear()
-        build_aux(u, 0.4, SMOOTH_PROFILE, 1e-8)
+        build_aux(u, 0.4, SMOOTH_PROFILE)
         assert len(fft_lengths) == 18
 
     def test_advance_builds_three_phase_rows_for_nine_interps(self, phase_builds,
@@ -151,7 +151,7 @@ class TestBasicTransport:
     def test_batch_matches_one_track_at_a_time_bit_for_bit(self):
         grid = Grid(30.0, 1024)
         u = make_datum(SMOOTH_DATUM, grid)
-        auxes = [build_aux(u, 0.01 * i, SMOOTH_PROFILE, 1e-8) for i in range(4)]
+        auxes = [build_aux(u, 0.01 * i, SMOOTH_PROFILE) for i in range(4)]
         seeds = (0.3, -1.2, 2.5, 29.9)
         tracks = [start_track(s, auxes[0]) for s in seeds]
         reference = [start_track(s, auxes[0]) for s in seeds]
@@ -513,7 +513,7 @@ def _first_samples(track, n):
 
 def _live_aux_pair():
     u = make_datum(SMOOTH_DATUM, Grid(30.0, 1024))
-    return build_aux(u, 0.0, SMOOTH_PROFILE, 1e-8), build_aux(u, 0.01, SMOOTH_PROFILE, 1e-8)
+    return build_aux(u, 0.0, SMOOTH_PROFILE), build_aux(u, 0.01, SMOOTH_PROFILE)
 
 
 def _advance_alone(track, aux_before, aux_after):
@@ -538,7 +538,7 @@ def _advance_alone(track, aux_before, aux_after):
 
 def _frozen_tracks():
     grid = Grid(30.0, 1024)
-    aux = build_aux(make_datum(SMOOTH_DATUM, grid), 0.0, SMOOTH_PROFILE, 1e-8)
+    aux = build_aux(make_datum(SMOOTH_DATUM, grid), 0.0, SMOOTH_PROFILE)
     return [start_track(s, aux) for s in (0.3, -1.2, 2.5)]
 
 

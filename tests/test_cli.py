@@ -169,6 +169,13 @@ class TestSimulate:
         # wall time never lands in machine output
         assert "elapsed" not in summary.read_text()
 
+    def test_horizon_shorter_than_dt_min_is_reached(self, tmp_path, capsys):
+        # the one step lands on the horizon: shorter than dt_min, but no underflow
+        path = tmp_path / "short.ini"
+        path.write_text(SMOOTH.replace("t_end = 0.3", "t_end = 1e-13"))
+        assert main(["simulate", str(path)]) == 0
+        assert "outcome: reached_horizon" in capsys.readouterr().out
+
     def test_piecewise_lambda_integral_column_holds_numbers(self, tmp_path):
         # lambda = 0.2 + t/10 on [-1, 1]: a knot before t = 0
         p = tmp_path / "piecewise.ini"
@@ -542,7 +549,7 @@ class TestBadInputExitsTwo:
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("entry", [
         "cfl_factor = 2.0", "record_stride = 0", "collapse_margin = 0.2", "dt_min = 0.0",
-        "c_m = 0.0", "c_m = -0.2", "m_stop = nan", "edge_tol = nan", "edge_tol = -1.0",
+        "c_m = 0.0", "c_m = -0.2", "m_stop = nan",
         "tail_tol = nan",
     ])
     def test_out_of_range_solver_value(self, tmp_path, capsys, command, entry):
@@ -554,6 +561,16 @@ class TestBadInputExitsTwo:
         assert main(argv) == 2
         err = _one_error_line(capsys)
         assert f"error: {path}: " in err and entry.split()[0] in err
+
+    @pytest.mark.parametrize("command", ["simulate", "criteria"])
+    def test_edge_tol_is_an_unknown_solver_key(self, tmp_path, capsys, command):
+        # the edge-decay tolerance is fixed (grid.EDGE_TOL), not a run setting
+        text = SMOOTH + "edge_tol = 1e-8\n"   # SMOOTH ends inside [solver]
+        path = tmp_path / "edge.ini"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:{len(text.splitlines())}: unknown key 'edge_tol' in [solver]\n")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("t_end", ["-2.0", "inf"])

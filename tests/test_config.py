@@ -40,7 +40,6 @@ record_stride = 2
 dt_min = 1e-11
 tail_tol = 2e-6
 collapse_margin = 1.1
-edge_tol = 1e-9
 
 [characteristics]
 seeds = 0.0, 0.5 -1.25
@@ -99,7 +98,6 @@ class TestParse:
         assert cfg.dt_min == 1e-11
         assert cfg.tail_tol == 2e-6
         assert cfg.collapse_margin == 1.1
-        assert cfg.edge_tol == 1e-9
         assert cfg.seeds == (0.0, 0.5, -1.25)
 
     def test_minimal_defaults(self):

@@ -207,11 +207,12 @@ class TestOneSidedKernels:
     probes = (-1.875, 0.46875, 2.8125)
 
     @pytest.mark.parametrize("n", sorted(CONV_TOLERANCES))
-    def test_against_quadrature(self, n):
+    def test_against_quadrature(self, n, monkeypatch):
+        monkeypatch.setattr("chbreak.grid.EDGE_TOL", 1e-5)
         g = Grid(L, n)
         u = Field(g, _bump(g.x))
-        p = conv_P_plus(u, 1e-5)
-        m = conv_P_minus(u, 1e-5)
+        p = conv_P_plus(u)
+        m = conv_P_minus(u)
         worst = 0.0
         for x0 in self.probes:
             j = int(round((x0 + L) / g.dx))
@@ -221,45 +222,49 @@ class TestOneSidedKernels:
                         abs(m.values[j] - _minus_oracle(x0)))
         assert worst < CONV_TOLERANCES[n]
 
-    def test_fourth_order_convergence(self):
+    def test_fourth_order_convergence(self, monkeypatch):
+        monkeypatch.setattr("chbreak.grid.EDGE_TOL", 1e-5)
         errs = []
         for n in (128, 256, 512):
             g = Grid(L, n)
             u = Field(g, _bump(g.x))
-            p = conv_P_plus(u, 1e-5)
+            p = conv_P_plus(u)
             j = int(round((0.46875 + L) / g.dx))
             errs.append(abs(p.values[j] - _plus_oracle(0.46875)))
         assert errs[0] / errs[1] > 8.0
         assert errs[1] / errs[2] > 8.0
 
-    def test_sum_matches_helmholtz_inverse(self):
+    def test_sum_matches_helmholtz_inverse(self, monkeypatch):
+        monkeypatch.setattr("chbreak.grid.EDGE_TOL", 1e-5)
         # two routes to P * f: one-sided marching vs the Fourier multiplier
         g = Grid(L, 1024)
         u = Field(g, _bump(g.x))
-        total = conv_P_plus(u, 1e-5) + conv_P_minus(u, 1e-5)
+        total = conv_P_plus(u) + conv_P_minus(u)
         assert np.max(np.abs(total.values - helmholtz_inverse(u).values)) < 1e-6
 
-    def test_difference_matches_derivative(self):
+    def test_difference_matches_derivative(self, monkeypatch):
+        monkeypatch.setattr("chbreak.grid.EDGE_TOL", 1e-5)
         g = Grid(L, 1024)
         u = Field(g, _bump(g.x))
-        diff = conv_P_minus(u, 1e-5) + (-1.0) * conv_P_plus(u, 1e-5)
+        diff = conv_P_minus(u) + (-1.0) * conv_P_plus(u)
         ref = deriv(helmholtz_inverse(u))
         assert np.max(np.abs(diff.values - ref.values)) < 1e-6
 
-    def test_quarter_square_lower_bound(self):
+    def test_quarter_square_lower_bound(self, monkeypatch):
         # P+- * (u^2 + ux^2/2) >= u^2/4 pointwise, the coercivity that makes
         # the one-sided kernels control the local amplitude
+        monkeypatch.setattr("chbreak.grid.EDGE_TOL", 1e-5)
         g = Grid(L, 1024)
         u = Field(g, np.exp(-0.5 * (g.x - 1.0) ** 2) * np.cos(1.3 * g.x))
         f2 = Field(g, u.values ** 2 + 0.5 * deriv(u).values ** 2)
         for conv in (conv_P_plus, conv_P_minus):
-            slack = conv(f2, 1e-5).values - 0.25 * u.values ** 2
+            slack = conv(f2).values - 0.25 * u.values ** 2
             assert np.min(slack) > -1e-12
 
     def test_rejects_non_decaying_input(self):
         g = Grid(L, 256)
         with pytest.raises(EdgeDecayError):
-            conv_P_plus(Field(g, np.cos(np.pi * g.x / L)), 1e-8)
+            conv_P_plus(Field(g, np.cos(np.pi * g.x / L)))
 
     @pytest.mark.parametrize("first,second", [(conv_P_plus, conv_P_minus),
                                               (conv_P_minus, conv_P_plus)])
@@ -270,7 +275,7 @@ class TestOneSidedKernels:
         f = Field(g, np.cos(np.pi * g.x / L))
         for conv in (first, second):
             with pytest.raises(EdgeDecayError):
-                conv(f, 1e-8)
+                conv(f)
 
     def test_exp_moments_match_quadrature(self):
         for z in (0.6, -0.6, 0.0586, -0.0586, 1e-3):
@@ -606,9 +611,9 @@ class TestSpectralMassAndEdges:
     def test_raw_edge_check(self):
         g = Grid(L, 512)
         good = Field(g, np.exp(-0.5 * g.x ** 2))
-        assert check_edge_decay(good, 1e-8)
+        assert check_edge_decay(good)
         shifted = Field(g, np.exp(-0.5 * (g.x + L - 3.0) ** 2))
-        assert not check_edge_decay(shifted, 1e-8)
+        assert not check_edge_decay(shifted)
 
     def test_smoothed_check_forgives_band_edge_ripple(self):
         # a tiny ripple at the band edge fails the raw test but carries no
@@ -616,21 +621,22 @@ class TestSpectralMassAndEdges:
         g = Grid(L, 1024)
         ripple = 1e-7 * np.cos(np.pi * g.kc * g.x / L)
         u = Field(g, np.exp(-0.5 * g.x ** 2) + ripple)
-        assert not check_edge_decay(u, 1e-8)
-        assert smoothed_edge_decay(u, 1e-8)
+        assert not check_edge_decay(u)
+        assert smoothed_edge_decay(u)
 
     def test_smoothed_check_still_sees_real_mass(self):
         g = Grid(L, 1024)
         u = Field(g, np.exp(-0.5 * (g.x + L - 3.0) ** 2))
-        assert not smoothed_edge_decay(u, 1e-8)
+        assert not smoothed_edge_decay(u)
 
-    def test_smoothed_values_are_cached_helmholtz_inverse(self, fft_lengths):
+    def test_smoothed_values_are_cached_helmholtz_inverse(self, fft_lengths, monkeypatch):
         g = Grid(L, 512)
         u = _band_noise(g, seed=8)
         expect = np.fft.irfft(np.fft.rfft(u.values) * g.helmholtz_multiplier, g.n_points)
         fft_lengths.clear()
-        smoothed_edge_decay(u, 1e-8)
-        smoothed_edge_decay(u, 1e-3)
+        smoothed_edge_decay(u)
+        monkeypatch.setattr("chbreak.grid.EDGE_TOL", 1e-3)
+        smoothed_edge_decay(u)
         assert np.array_equal(helmholtz_inverse(u).values, expect)
         assert len(fft_lengths) == 2
         assert not u.smoothed_values.flags.writeable

@@ -118,6 +118,19 @@ class TestDissipationProfile:
         with pytest.raises(ConfigError, match=r"kind must be one of \('constant', "):
             DissipationProfile("bogus", (1.0,), 1.0)
 
+    @pytest.mark.parametrize("kind,params,knots,message", [
+        ("constant", (), (), r"constant profile takes params \('value',\), got \(\)"),
+        ("sinusoidal", (0.1,), (), "sinusoidal profile takes params"),
+        ("linear_ramp", (0.0, 1.0, 2.0), (), "linear_ramp profile takes params"),
+        ("piecewise", (0.1,), ((0.0, 1.0), (0.1, 0.2)), r"piecewise profile takes params \(\)"),
+        ("constant", (0.1,), ((0.0, 1.0), (0.1, 0.2)), "constant profile takes no knots"),
+    ], ids=["constant_without_value", "sinusoidal_short", "linear_ramp_long",
+            "piecewise_with_params", "constant_with_knots"])
+    def test_params_and_knots_must_fit_the_kind(self, kind, params, knots, message):
+        # a profile rate() cannot evaluate, or one whose values emit_config would drop
+        with pytest.raises(ConfigError, match=message):
+            DissipationProfile(kind, params, 1.0, *knots)
+
     def test_sinusoidal_needs_frequency(self):
         with pytest.raises(ConfigError):
             DissipationProfile.sinusoidal(0.2, 0.3, 0.0)
@@ -398,13 +411,14 @@ class TestBoundedForcing:
         u = _smooth_bump(amp=1.1)
         assert bounded_forcing(u).max_abs <= forcing_constant(h1_norm_sq(u))
 
-    def test_dual_route_agreement(self):
+    def test_dual_route_agreement(self, monkeypatch):
         # spectral multiplier route vs one-sided marching kernels
+        monkeypatch.setattr("chbreak.grid.EDGE_TOL", 1e-5)
         u = _smooth_bump()
         s = _nonlinear_spectra(u.grid, u.values)
         local, flux = (Field(u.grid, np.fft.irfft(c, u.grid.n_points))
                        for c in (s.local, s.flux))
-        alt = local - (conv_P_plus(flux, 1e-5) + conv_P_minus(flux, 1e-5))
+        alt = local - (conv_P_plus(flux) + conv_P_minus(flux))
         assert np.max(np.abs(bounded_forcing(u).values - alt.values)) < 1e-6
 
 

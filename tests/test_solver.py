@@ -90,7 +90,6 @@ class TestConfigValidation:
         ("c_m", 0.0), ("c_m", -0.2),
         ("c_m", math.nan), ("c_m", math.inf),
         ("m_stop", math.nan), ("tail_tol", 0.0), ("tail_tol", math.nan),
-        ("edge_tol", -1.0), ("edge_tol", math.nan),
     ])
     def test_controls_that_would_change_the_report(self, field, value):
         # each of these let a run end with a wrong outcome or no monitor
@@ -163,6 +162,15 @@ class TestStep:
         with pytest.raises(NumericsError):
             step(state, cfg)
 
+    def test_horizon_closer_than_dt_min(self, monkeypatch):
+        # the step that lands on the horizon is taken; a halving of it underflows
+        cfg = _cfg(t_end=1e-13)
+        state = SolverState(0.0, make_datum(SMOOTH, GRID))
+        assert step(state, cfg).t == 1e-13
+        monkeypatch.setattr(solver, "_rk4", lambda u, *args: u * math.nan)
+        with pytest.raises(NumericsError):
+            step(state, cfg)
+
     def test_halvings_counted(self, monkeypatch):
         real = solver._rk4
         calls = []
@@ -198,7 +206,7 @@ class TestTrackAuxReuse:
     def _state_and_aux(self):
         cfg = _cfg(profile=DissipationProfile.sinusoidal(0.2, 0.2, 1.5))
         state = SolverState(0.3, make_datum(SMOOTH, GRID), step_index=4, halvings=1)
-        return cfg, state, build_aux(state.u, state.t, cfg.profile, cfg.edge_tol)
+        return cfg, state, build_aux(state.u, state.t, cfg.profile)
 
     def test_step_with_aux_returns_the_same_state_bit_for_bit(self):
         cfg, state, aux = self._state_and_aux()
@@ -328,14 +336,14 @@ class TestRun:
         assert out.t_final > 0.0
         assert out.records[-1].t == pytest.approx(out.t_final)
 
-    def test_seeded_run_checks_edges_with_the_configured_tolerance(self):
+    def test_seeded_run_checks_edges_with_the_configured_tolerance(self, monkeypatch):
         # the flux's Helmholtz tail at the edge is about e^-16 = 1e-7 of its
-        # peak: inside edge_tol = 1e-6, outside the 1e-8 default
+        # peak: inside EDGE_TOL = 1e-6, outside the fixed 1e-8
+        monkeypatch.setattr("chbreak.grid.EDGE_TOL", 1e-6)
         cfg = _cfg(grid=Grid(30.0, 1024),
                    datum=InitialDatum("gaussian_derivative", amplitude=0.5,
                                       width=1.0, center=14.0),
-                   profile=DissipationProfile.constant(0.0), t_end=0.02,
-                   edge_tol=1e-6)
+                   profile=DissipationProfile.constant(0.0), t_end=0.02)
         assert run(cfg).kind == "reached_horizon"
         out = run(replace(cfg, seeds=(14.0,)))
         assert out.kind == "reached_horizon"
@@ -490,7 +498,7 @@ class TestCollapseSwitch:
         u = make_datum(cfg.datum, GRID)
         m, j, energy = solver._measure(u)
         outcome = RunOutcome(kind="reached_horizon", t_final=0.0, records=[],
-                             tracks=[start_track(0.0, build_aux(u, 0.0, cfg.profile, 1e-8))],
+                             tracks=[start_track(0.0, build_aux(u, 0.0, cfg.profile))],
                              energy0=energy, dissipative=True)
         drifts = []
         monkeypatch.setattr(solver, "advance_frozen",
