@@ -301,6 +301,8 @@ def _sweep_cell(packed):
 def _workers(flag: int | None) -> int:
     if flag is not None:
         return max(1, flag)
+    if hasattr(os, "sched_getaffinity"):   # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -395,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--widths", type=_float_list, required=True)
     p_swp.add_argument("--deltas", type=_float_list, default=None)
     p_swp.add_argument("--workers", type=int, default=None,
-                       help="cell parallelism (default: all cores)")
+                       help="cell parallelism (default: the CPUs this process may use)")
     p_swp.add_argument("--csv", default=None)
     p_swp.set_defaults(func=_cmd_sweep)
 

@@ -22,7 +22,7 @@ from .model import DATUM_KEYS, PROFILE_KEYS, DissipationProfile, InitialDatum
 from .solver import RunConfig
 
 _FLOAT_LIST = "float_list"
-_NUMBER_TYPES = {"float": float, "int": int}   # RunConfig's annotations are strings
+_NUMBER_TYPES = {"float": float}   # RunConfig's annotations are strings
 
 # the key that picks a section's variant, and the keys each variant takes
 # (besides delta_sup, which every kind takes)

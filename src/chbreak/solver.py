@@ -55,12 +55,16 @@ from .riccati import rk4
 # largest max|lambda| * dt of a live step; RK4's error in exp(-2 lambda dt)
 # is (lambda dt)^5 / 60 per step, 5.3e-11 here
 DAMPING_STEP = 0.02
+TAIL_TOL = 1.0e-6   # top-octave spectral mass past which the front is unresolved
+# the switch level is this times the supercritical threshold: at least 1,
+# or the frozen law would be continued without a certificate
+COLLAPSE_MARGIN = 1.05
+DT_MIN = 1.0e-12    # a halved step below this is an underflow
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run: grid, datum, damping, horizon and the step, record and
-    certificate controls.
+    """One run: grid, datum, damping, horizon and the step controls.
 
     Every value is checked here, on construction, so a config file with a
     bad value is rejected when it is read. The checks are written so that
@@ -73,12 +77,8 @@ class RunConfig:
     t_end: float
     cfl_factor: float = 0.3
     c_m: float = 0.2    # dt <= c_m / max(1, |min slope|)
-    dt_min: float = 1.0e-12
     m_stop: float = -1.0e6   # the slope level that ends a run
-    record_stride: int = 1
     seeds: tuple[float, ...] = ()
-    tail_tol: float = 1.0e-6
-    collapse_margin: float = 1.05
 
     def __post_init__(self) -> None:
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
@@ -87,18 +87,8 @@ class RunConfig:
             raise ValueError("cfl_factor must lie in (0, 1]")
         if not (self.c_m > 0.0 and math.isfinite(self.c_m)):
             raise ValueError("c_m must be finite and > 0")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        if not self.dt_min > 0.0:
-            raise ValueError("dt_min must be > 0")
-        if not self.collapse_margin >= 1.0:
-            # below 1 the switch level lies above the supercritical threshold,
-            # so the frozen law would be continued without a certificate
-            raise ValueError("collapse_margin must be >= 1")
         if not self.m_stop < 0.0:
             raise ValueError("m_stop must be negative")
-        if not self.tail_tol > 0.0:
-            raise ValueError("tail_tol must be > 0")
         half = self.grid.half_length
         if not all(-half <= s < half for s in self.seeds):
             raise ValueError(f"seeds must be finite and lie in [-L, L), L = {half:g}")
@@ -154,8 +144,8 @@ def step(state: SolverState, cfg: RunConfig, aux: TrackAux | None = None) -> Sol
     horizon), where max|lambda| is the exact max(|inf lambda|, |sup lambda|)
     on [0, t_end], so a negative lambda is capped too. The zero state steps
     cfl dx. A step producing non-finite values is rejected and retried at
-    dt/2; underflow past dt_min raises NumericsError. A step that lands on
-    a horizon closer than dt_min is no underflow, but its halvings can be.
+    dt/2; underflow past DT_MIN raises NumericsError. A step that lands on
+    a horizon closer than DT_MIN is no underflow, but its halvings can be.
 
     aux, when given, is build_aux of this state at its time. Its ux gives m
     and its rhs_field is RK4's first stage, for every try at this state:
@@ -176,7 +166,7 @@ def step(state: SolverState, cfg: RunConfig, aux: TrackAux | None = None) -> Sol
         cfg.t_end - state.t,
     )
     while True:
-        if dt < min(cfg.dt_min, cfg.t_end - state.t):
+        if dt < min(DT_MIN, cfg.t_end - state.t):
             raise NumericsError(f"time step underflow at t={state.t:.6g}")
         candidate = _rk4(u, state.t, dt, cfg.profile, k1)
         if np.all(np.isfinite(candidate.values)):
@@ -261,25 +251,21 @@ def run(cfg: RunConfig, sink=None) -> RunOutcome:
         m, j, energy = _measure(u, aux)
         if stop is None and m <= cfg.m_stop:
             stop = "breaking_detected"
-        if stop is None and tail_fraction(u) > cfg.tail_tol:
-            certified_level = cfg.collapse_margin * slope_threshold(
+        if stop is None and tail_fraction(u) > TAIL_TOL:
+            certified_level = COLLAPSE_MARGIN * slope_threshold(
                 profile.delta_sup, forcing_constant(energy))
             if m < certified_level:
                 stop = "collapse"    # certified: continue against the frozen fields
             else:
                 outcome.resolution_degraded = True
-        if stop is not None or state.step_index % cfg.record_stride == 0:
-            emit_live(state, m, j, energy)
+        emit_live(state, m, j, energy)
 
     t_final = state.t
     outcome.live_steps, outcome.dt_halvings = state.step_index, state.halvings
     if stop == "collapse":
         stop, t_final = _continue_collapse(cfg, outcome, emit, state, m, j, energy)
     elif stop is None:
-        # horizon reached in the Eulerian phase
-        if records[-1].t < state.t * (1.0 - 1e-14):
-            emit_live(state, m, j, energy)
-        stop = "reached_horizon"
+        stop = "reached_horizon"   # horizon reached in the Eulerian phase
     outcome.kind, outcome.t_final = stop, t_final
     return outcome
 
@@ -313,7 +299,6 @@ def _continue_collapse(cfg: RunConfig, outcome: RunOutcome, emit, state: SolverS
         return -0.5 * y * y - profile.rate(t) * y + b_at_front
 
     t = state.t
-    step_index = state.step_index
     while m > cfg.m_stop and t < cfg.t_end * (1.0 - 1e-14):
         dt = min(cfg.c_m / max(1.0, abs(m)), cfg.t_end - t)
         m = rk4(m_rate, t, m, dt)
@@ -321,11 +306,9 @@ def _continue_collapse(cfg: RunConfig, outcome: RunOutcome, emit, state: SolverS
         v_xi = interp(u_frozen, xi)
         xi = xi + dt * 0.5 * (v_xi + interp(u_frozen, xi + dt * v_xi))
         t += dt
-        step_index += 1
+        outcome.continued_steps += 1
         law_energy = math.exp(-2.0 * (profile.integral(t) - lam_int_sw)) * energy_sw
-        if step_index % cfg.record_stride == 0 or m <= cfg.m_stop:
-            emit(t, law_energy, m, xi, sup_frozen, dt, None)
-    outcome.continued_steps = step_index - state.step_index
+        emit(t, law_energy, m, xi, sup_frozen, dt, None)
     marching = [track for track in outcome.tracks if track.stopped_at is None]
     if marching:
         drift = from_spectrum(grid, s.drift)   # (P+ - P-) * F

@@ -170,7 +170,7 @@ class TestSimulate:
         assert "elapsed" not in summary.read_text()
 
     def test_horizon_shorter_than_dt_min_is_reached(self, tmp_path, capsys):
-        # the one step lands on the horizon: shorter than dt_min, but no underflow
+        # the one step lands on the horizon: shorter than DT_MIN, but no underflow
         path = tmp_path / "short.ini"
         path.write_text(SMOOTH.replace("t_end = 0.3", "t_end = 1e-13"))
         assert main(["simulate", str(path)]) == 0
@@ -205,7 +205,7 @@ class TestSimulate:
         assert steps["live"] > 0 and steps["continued"] > 0
         assert steps["dt_halvings"] == 0
         assert steps["records"] == payload["n_records"] == len(_read_csv(records)) - 1
-        # record_stride 1: the datum plus one record per step of either phase
+        # the datum plus one record per step of either phase
         assert steps["records"] == 1 + steps["live"] + steps["continued"]
 
     def test_config_echo_roundtrip(self, smooth_cfg, tmp_path):
@@ -475,9 +475,20 @@ class TestSweep:
     def test_worker_count_precedence(self, monkeypatch):
         assert _workers(4) == 4
         assert _workers(0) == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert _workers(None) == 3
         assert _workers(2) == 2
+
+    def test_default_workers_are_the_cpus_this_process_may_use(self, monkeypatch):
+        # pinned to one CPU of eight, a default sweep would start 8 workers on it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _workers(None) == 1
+
+    def test_default_workers_without_affinity_fall_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _workers(None) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _workers(None) == 1
 
@@ -500,7 +511,8 @@ class TestSweep:
                 return map(fn, cells)
 
         monkeypatch.setattr(chbreak.cli, "ProcessPoolExecutor", NoProcessPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5000)),
+                            raising=False)
         argv = ["sweep", smooth_cfg, "--amplitudes", "0.3 0.35", "--widths", "1.0"]
         assert main(argv + (["--workers", "5000"] if source == "flag" else [])) == 0
         assert sizes == [2]
@@ -548,9 +560,7 @@ class TestBadInputExitsTwo:
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("entry", [
-        "cfl_factor = 2.0", "record_stride = 0", "collapse_margin = 0.2", "dt_min = 0.0",
-        "c_m = 0.0", "c_m = -0.2", "m_stop = nan",
-        "tail_tol = nan",
+        "cfl_factor = 2.0", "c_m = 0.0", "c_m = -0.2", "m_stop = nan",
     ])
     def test_out_of_range_solver_value(self, tmp_path, capsys, command, entry):
         path = tmp_path / "bad.ini"
@@ -562,15 +572,19 @@ class TestBadInputExitsTwo:
         err = _one_error_line(capsys)
         assert f"error: {path}: " in err and entry.split()[0] in err
 
-    @pytest.mark.parametrize("command", ["simulate", "criteria"])
-    def test_edge_tol_is_an_unknown_solver_key(self, tmp_path, capsys, command):
-        # the edge-decay tolerance is fixed (grid.EDGE_TOL), not a run setting
-        text = SMOOTH + "edge_tol = 1e-8\n"   # SMOOTH ends inside [solver]
-        path = tmp_path / "edge.ini"
+    @pytest.mark.parametrize("key,command", [
+        pytest.param(key, command, id=command if key == "edge_tol" else f"{key}-{command}")
+        for key in ("edge_tol", "tail_tol", "collapse_margin", "dt_min", "record_stride")
+        for command in ("simulate", "criteria")])
+    def test_edge_tol_is_an_unknown_solver_key(self, tmp_path, capsys, key, command):
+        # fixed, not run settings: grid.EDGE_TOL, solver's TAIL_TOL,
+        # COLLAPSE_MARGIN and DT_MIN, and a record at every step
+        text = SMOOTH + f"{key} = 1\n"   # SMOOTH ends inside [solver]
+        path = tmp_path / "fixed.ini"
         path.write_text(text)
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}:{len(text.splitlines())}: unknown key 'edge_tol' in [solver]\n")
+            f"error: {path}:{len(text.splitlines())}: unknown key '{key}' in [solver]\n")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("t_end", ["-2.0", "inf"])

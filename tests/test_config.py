@@ -36,10 +36,6 @@ t_end = 1.5
 cfl_factor = 0.25
 c_m = 0.1
 m_stop = -500000.0
-record_stride = 2
-dt_min = 1e-11
-tail_tol = 2e-6
-collapse_margin = 1.1
 
 [characteristics]
 seeds = 0.0, 0.5 -1.25
@@ -94,10 +90,6 @@ class TestParse:
         assert cfg.cfl_factor == 0.25
         assert cfg.c_m == 0.1
         assert cfg.m_stop == -500000.0
-        assert cfg.record_stride == 2
-        assert cfg.dt_min == 1e-11
-        assert cfg.tail_tol == 2e-6
-        assert cfg.collapse_margin == 1.1
         assert cfg.seeds == (0.0, 0.5, -1.25)
 
     def test_minimal_defaults(self):
@@ -105,7 +97,6 @@ class TestParse:
         assert cfg.cfl_factor == 0.3
         assert cfg.c_m == 0.2
         assert cfg.m_stop == -1e6
-        assert cfg.record_stride == 1
         assert cfg.seeds == ()
         assert cfg.profile.delta_sup == 0.0
 
@@ -199,7 +190,7 @@ class TestErrors:
                      "[datum] family 'sech_squared' needs amplitude, width")
 
     def test_missing_required(self):
-        self._raises(MINIMAL.replace("t_end = 0.5", "record_stride = 1"),
+        self._raises(MINIMAL.replace("t_end = 0.5", "cfl_factor = 0.3"),
                      "missing required [solver] t_end")
         self._raises(MINIMAL.replace("n_points = 256", ""),
                      "missing required [grid] n_points")

@@ -69,27 +69,12 @@ class TestConfigValidation:
 
     def test_stride_and_threshold(self):
         with pytest.raises(ValueError):
-            _cfg(record_stride=0)
-        with pytest.raises(ValueError):
             _cfg(m_stop=1.0)
-
-    @pytest.mark.parametrize("margin", [0.2, 0.999, math.nan])
-    def test_collapse_margin_below_one(self, margin):
-        # the switch level would sit above the supercritical threshold
-        with pytest.raises(ValueError, match="collapse_margin"):
-            _cfg(collapse_margin=margin)
-        _cfg(collapse_margin=1.0)
-
-    @pytest.mark.parametrize("dt_min", [0.0, -1e-12, math.nan])
-    def test_dt_min_not_positive(self, dt_min):
-        # step's underflow exit needs a positive floor
-        with pytest.raises(ValueError, match="dt_min"):
-            _cfg(dt_min=dt_min)
 
     @pytest.mark.parametrize("field,value", [
         ("c_m", 0.0), ("c_m", -0.2),
         ("c_m", math.nan), ("c_m", math.inf),
-        ("m_stop", math.nan), ("tail_tol", 0.0), ("tail_tol", math.nan),
+        ("m_stop", math.nan),
     ])
     def test_controls_that_would_change_the_report(self, field, value):
         # each of these let a run end with a wrong outcome or no monitor
@@ -156,8 +141,9 @@ class TestStep:
         out = step(state, cfg)
         assert out.t == pytest.approx(1e-4, rel=1e-12)
 
-    def test_underflow_raises(self):
-        cfg = _cfg(dt_min=1.0)
+    def test_underflow_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "DT_MIN", 1.0)
+        cfg = _cfg()
         state = SolverState(0.0, make_datum(SMOOTH, GRID))
         with pytest.raises(NumericsError):
             step(state, cfg)
@@ -321,8 +307,9 @@ class TestRun:
         assert out.records[0].energy == pytest.approx(h1_norm_sq(
             make_datum(SMOOTH, GRID)), rel=1e-12)
 
-    def test_underflow_reported(self):
-        out = run(_cfg(dt_min=1.0))
+    def test_underflow_reported(self, monkeypatch):
+        monkeypatch.setattr(solver, "DT_MIN", 1.0)
+        out = run(_cfg())
         assert out.kind == "dt_underflow"
         assert out.t_final == 0.0
         assert len(out.records) == 1
@@ -348,13 +335,6 @@ class TestRun:
         out = run(replace(cfg, seeds=(14.0,)))
         assert out.kind == "reached_horizon"
         assert out.tracks[0].n_samples == len(out.records)
-
-    def test_record_stride(self):
-        full = run(_cfg(t_end=0.5))
-        strided = run(_cfg(t_end=0.5, record_stride=4))
-        assert len(strided.records) < len(full.records) / 2
-        assert strided.records[-1].t == pytest.approx(full.records[-1].t)
-        assert strided.records[0].t == 0.0
 
     def test_sink_parity(self):
         seen = []
@@ -517,42 +497,44 @@ def acceptance_slope_datum():
     return find_breaking_datum("gaussian_derivative", 0.1, "slope_only", amplitude=2.0).datum
 
 
-def _margin_run(datum, margin):
-    return run(RunConfig(grid=Grid(30.0, 4096), datum=datum,
-                         profile=DissipationProfile.constant(0.1), t_end=4.0,
-                         collapse_margin=margin))
+@pytest.fixture
+def margin_run(acceptance_slope_datum, monkeypatch):
+    def run_at(margin):
+        monkeypatch.setattr(solver, "COLLAPSE_MARGIN", margin)
+        return run(RunConfig(grid=Grid(30.0, 4096), datum=acceptance_slope_datum,
+                             profile=DissipationProfile.constant(0.1), t_end=4.0))
+    return run_at
 
 
 class TestCertificateMargin:
     """The acceptance slope datum at N = 4096: its first loss of resolution
     falls at a slope between 1.27 and 1.28 times the supercritical
-    threshold, so collapse_margin decides whether that step is certified."""
+    threshold, so COLLAPSE_MARGIN decides whether that step is certified."""
 
-    def test_the_first_trigger_lies_between_the_two_margins(self, acceptance_slope_datum):
-        out = _margin_run(acceptance_slope_datum, 1.27)
+    def test_the_first_trigger_lies_between_the_two_margins(self, margin_run):
+        out = margin_run(1.27)
         rec = out.records[-out.continued_steps - 1]
         assert rec.t == out.t_switch and rec.min_slope == out.m_switch
         level = slope_threshold(0.1, forcing_constant(rec.energy))
         assert 1.28 * level <= rec.min_slope < 1.27 * level
 
-    def test_a_margin_below_the_trigger_certifies_it(self, acceptance_slope_datum):
-        out = _margin_run(acceptance_slope_datum, 1.27)
+    def test_a_margin_below_the_trigger_certifies_it(self, margin_run):
+        out = margin_run(1.27)
         assert out.kind == "breaking_detected" and not out.resolution_degraded
         assert out.live_steps == 3 and out.continued_steps > 0
         assert out.t_switch == pytest.approx(0.12474469587759181, rel=1e-12)
 
-    def test_a_margin_above_the_trigger_flags_it_and_switches_a_step_later(
-            self, acceptance_slope_datum):
-        out = _margin_run(acceptance_slope_datum, 1.28)
+    def test_a_margin_above_the_trigger_flags_it_and_switches_a_step_later(self, margin_run):
+        out = margin_run(1.28)
         assert out.kind == "breaking_detected" and out.resolution_degraded
         assert out.live_steps == 4 and out.continued_steps > 0
         assert out.t_switch == pytest.approx(0.16934514095553305, rel=1e-12)
         # the flagged step was not continued: the live records go on past it
         assert [r.t for r in out.records[:5]] == [
-            r.t for r in _margin_run(acceptance_slope_datum, 1.27).records[:4]] + [out.t_switch]
+            r.t for r in margin_run(1.27).records[:4]] + [out.t_switch]
 
-    def test_a_margin_never_reached_ends_uncertified(self, acceptance_slope_datum):
-        out = _margin_run(acceptance_slope_datum, 2.0)
+    def test_a_margin_never_reached_ends_uncertified(self, margin_run):
+        out = margin_run(2.0)
         assert out.kind == "edge_decay_lost" and out.resolution_degraded
         assert out.live_steps == 10
         assert out.t_switch is None and out.m_switch is None

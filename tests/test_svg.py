@@ -208,7 +208,7 @@ class TestSpansAtTheEndsOfTheFloats:
 
     def test_simulate_over_one_subnormal_writes_every_chart(self, tmp_path):
         ini = tmp_path / "tiny.ini"
-        ini.write_text(FLAT_ENERGY.replace("t_end = 0.001", "t_end = 5e-324\ndt_min = 5e-324"))
+        ini.write_text(FLAT_ENERGY.replace("t_end = 0.001", "t_end = 5e-324"))
         plots = tmp_path / "plots"
         assert main(["simulate", str(ini), "--plots-dir", str(plots)]) == 0
         for name in ("slope_min.svg", "reciprocal_slope.svg", "energy_law.svg"):
