@@ -293,8 +293,9 @@ def _sweep_cell(packed):
         }
     except ChbreakError as exc:
         row = dict.fromkeys(SWEEP_COLUMNS)
-        row.update(index=index, family="", amplitude=amplitude, width=width,
-                   delta=delta, status=f"error: {exc}")
+        row.update(index=index, family=template.datum.family, amplitude=amplitude,
+                   width=width, delta=template.profile.delta_sup if delta is None else delta,
+                   status=f"error: {exc}")
         return row
 
 

@@ -60,11 +60,13 @@ TAIL_TOL = 1.0e-6   # top-octave spectral mass past which the front is unresolve
 # or the frozen law would be continued without a certificate
 COLLAPSE_MARGIN = 1.05
 DT_MIN = 1.0e-12    # a halved step below this is an underflow
+C_M = 0.2           # dt <= C_M / max(1, |slope|): the blow-up fit's sampling
+M_STOP = -1.0e6     # the slope level that ends a run
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run: grid, datum, damping, horizon and the step controls.
+    """One run: grid, datum, damping, horizon and the CFL number.
 
     Every value is checked here, on construction, so a config file with a
     bad value is rejected when it is read. The checks are written so that
@@ -76,8 +78,6 @@ class RunConfig:
     profile: DissipationProfile
     t_end: float
     cfl_factor: float = 0.3
-    c_m: float = 0.2    # dt <= c_m / max(1, |min slope|)
-    m_stop: float = -1.0e6   # the slope level that ends a run
     seeds: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -85,10 +85,6 @@ class RunConfig:
             raise ValueError("t_end must be finite and >= 0")
         if not (0.0 < self.cfl_factor <= 1.0):
             raise ValueError("cfl_factor must lie in (0, 1]")
-        if not (self.c_m > 0.0 and math.isfinite(self.c_m)):
-            raise ValueError("c_m must be finite and > 0")
-        if not self.m_stop < 0.0:
-            raise ValueError("m_stop must be negative")
         half = self.grid.half_length
         if not all(-half <= s < half for s in self.seeds):
             raise ValueError(f"seeds must be finite and lie in [-L, L), L = {half:g}")
@@ -140,7 +136,7 @@ def _rk4(u: Field, t: float, dt: float, profile: DissipationProfile,
 def step(state: SolverState, cfg: RunConfig, aux: TrackAux | None = None) -> SolverState:
     """One accepted RK4 step.
 
-    dt = min(cfl dx / sup|u|, c_m / max(1, |m|), DAMPING_STEP / max|lambda|,
+    dt = min(cfl dx / sup|u|, C_M / max(1, |m|), DAMPING_STEP / max|lambda|,
     horizon), where max|lambda| is the exact max(|inf lambda|, |sup lambda|)
     on [0, t_end], so a negative lambda is capped too. The zero state steps
     cfl dx. A step producing non-finite values is rejected and retried at
@@ -161,7 +157,7 @@ def step(state: SolverState, cfg: RunConfig, aux: TrackAux | None = None) -> Sol
     lam_max = max(map(abs, cfg.profile._extremes(cfg.t_end)))
     dt = min(
         cfg.cfl_factor * grid.dx / (sup if sup > 0.0 else 1.0),
-        cfg.c_m / max(1.0, abs(m)),
+        C_M / max(1.0, abs(m)),
         DAMPING_STEP / lam_max if lam_max > 0.0 else math.inf,
         cfg.t_end - state.t,
     )
@@ -249,7 +245,7 @@ def run(cfg: RunConfig, sink=None) -> RunOutcome:
                 advance(tracks, aux, aux_new)
         aux = aux_new   # None from here on once the tracks have ended
         m, j, energy = _measure(u, aux)
-        if stop is None and m <= cfg.m_stop:
+        if stop is None and m <= M_STOP:
             stop = "breaking_detected"
         if stop is None and tail_fraction(u) > TAIL_TOL:
             certified_level = COLLAPSE_MARGIN * slope_threshold(
@@ -299,8 +295,8 @@ def _continue_collapse(cfg: RunConfig, outcome: RunOutcome, emit, state: SolverS
         return -0.5 * y * y - profile.rate(t) * y + b_at_front
 
     t = state.t
-    while m > cfg.m_stop and t < cfg.t_end * (1.0 - 1e-14):
-        dt = min(cfg.c_m / max(1.0, abs(m)), cfg.t_end - t)
+    while m > M_STOP and t < cfg.t_end * (1.0 - 1e-14):
+        dt = min(C_M / max(1.0, abs(m)), cfg.t_end - t)
         m = rk4(m_rate, t, m, dt)
         # front location rides the frozen velocity field
         v_xi = interp(u_frozen, xi)
@@ -313,19 +309,19 @@ def _continue_collapse(cfg: RunConfig, outcome: RunOutcome, emit, state: SolverS
     if marching:
         drift = from_spectrum(grid, s.drift)   # (P+ - P-) * F
         for track in marching:
-            _march_frozen(track, state.t, t, drift, b_field, cfg)
-    return ("breaking_detected" if m <= cfg.m_stop else "reached_horizon"), t
+            _march_frozen(track, state.t, t, drift, b_field, profile)
+    return ("breaking_detected" if m <= M_STOP else "reached_horizon"), t
 
 
 def _march_frozen(track: CharacteristicTrack, t: float, t_final: float, drift: Field,
-                  forcing: Field, cfg: RunConfig) -> None:
-    """March one track alone to t_final in steps c_m / max(1, |w|) of its own
-    slope w, handing each stage on; w at m_stop or not finite ends it (stopped_at)."""
+                  forcing: Field, profile: DissipationProfile) -> None:
+    """March one track alone to t_final in steps C_M / max(1, |w|) of its own
+    slope w, handing each stage on; w at M_STOP or not finite ends it (stopped_at)."""
     k1 = None
     while t < t_final * (1.0 - 1e-14):
-        if not track.ux_vals[-1] > cfg.m_stop:
+        if not track.ux_vals[-1] > M_STOP:
             track.stopped_at = track.times[-1]
             return
-        dt = min(cfg.c_m / max(1.0, abs(track.ux_vals[-1])), t_final - t)
-        k1 = advance_frozen(track, t, dt, drift, forcing, cfg.profile, k1)
+        dt = min(C_M / max(1.0, abs(track.ux_vals[-1])), t_final - t)
+        k1 = advance_frozen(track, t, dt, drift, forcing, profile, k1)
         t += dt

@@ -357,7 +357,7 @@ class TestFrozenPhaseOfARun:
         lives = []
         out = run(cfg, sink=lambda rec, live: lives.append(live))
         assert out.kind == "breaking_detected" and out.continued_steps > 1
-        assert min(out.tracks[1].ux_vals) < cfg.m_stop
+        assert min(out.tracks[1].ux_vals) < solver.M_STOP
         u = [live for live in lives if live is not None][-1]
         drift = Field(u.grid, np.fft.irfft(_nonlinear_spectra(u.grid, u.values).drift,
                                            u.grid.n_points))
@@ -427,8 +427,8 @@ class TestFrozenTracksStepAlone:
         for track in out.tracks:
             frozen = [w for t, w in zip(track.times, track.ux_vals) if t > out.t_switch]
             if track.seed == 0.0:
-                # the front: its own slope sets its steps, down to m_stop
-                assert len(frozen) > 100 and frozen[-1] <= cfg.m_stop < frozen[-2]
+                # the front: its own slope sets its steps, down to M_STOP
+                assert len(frozen) > 100 and frozen[-1] <= solver.M_STOP < frozen[-2]
                 assert track.stopped_at == track.times[-1] <= out.t_final
             else:
                 assert max(map(abs, frozen)) <= 1.0
@@ -440,27 +440,24 @@ class TestFrozenTracksStepAlone:
         # zero fields and no damping: w' = -w^2/2 from w = -3 blows up at t = 2/3
         grid = Grid(30.0, 256)
         zero = Field(grid, np.zeros(256))
-        cfg = RunConfig(grid=grid, datum=SMOOTH_DATUM, profile=DissipationProfile.constant(0.0),
-                        t_end=1.0)
         track = _one_sample_track(-3.0)
-        solver._march_frozen(track, 0.0, 1.0, zero, zero, cfg)
-        assert track.ux_vals[-1] <= cfg.m_stop < track.ux_vals[-2]
+        solver._march_frozen(track, 0.0, 1.0, zero, zero, DissipationProfile.constant(0.0))
+        assert track.ux_vals[-1] <= solver.M_STOP < track.ux_vals[-2]
         assert track.stopped_at == track.times[-1] < 1.0
         # within RK4's error of the exact crossing 2/3 - 2e-6
         assert track.stopped_at == pytest.approx(2.0 / 3.0, abs=1e-5)
-        # every step is c_m / max(1, |w|) of the track's own last slope
-        assert track.times[1:] == [t + cfg.c_m / max(1.0, abs(w))
+        # every step is C_M / max(1, |w|) of the track's own last slope
+        assert track.times[1:] == [t + solver.C_M / max(1.0, abs(w))
                                    for t, w in zip(track.times, track.ux_vals[:-1])]
 
     def test_a_non_finite_slope_ends_the_track(self):
         grid = Grid(30.0, 256)
-        cfg = RunConfig(grid=grid, datum=SMOOTH_DATUM, profile=DissipationProfile.constant(0.0),
-                        t_end=1.0)
         track = _one_sample_track(-3.0)
         nan_forcing = Field(grid, np.full(256, math.nan))
-        solver._march_frozen(track, 0.0, 1.0, Field(grid, np.zeros(256)), nan_forcing, cfg)
+        solver._march_frozen(track, 0.0, 1.0, Field(grid, np.zeros(256)), nan_forcing,
+                             DissipationProfile.constant(0.0))
         assert track.n_samples == 2 and math.isnan(track.ux_vals[-1])
-        assert track.stopped_at == track.times[-1] == cfg.c_m / 3.0
+        assert track.stopped_at == track.times[-1] == solver.C_M / 3.0
 
 
 def _three_point_derivative(ts, ys, i):

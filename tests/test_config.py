@@ -34,8 +34,6 @@ delta_sup = 0.4
 [solver]
 t_end = 1.5
 cfl_factor = 0.25
-c_m = 0.1
-m_stop = -500000.0
 
 [characteristics]
 seeds = 0.0, 0.5 -1.25
@@ -88,15 +86,11 @@ class TestParse:
         assert cfg.profile.delta_sup == 0.4
         assert cfg.t_end == 1.5
         assert cfg.cfl_factor == 0.25
-        assert cfg.c_m == 0.1
-        assert cfg.m_stop == -500000.0
         assert cfg.seeds == (0.0, 0.5, -1.25)
 
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.cfl_factor == 0.3
-        assert cfg.c_m == 0.2
-        assert cfg.m_stop == -1e6
         assert cfg.seeds == ()
         assert cfg.profile.delta_sup == 0.0
 
@@ -339,4 +333,3 @@ def test_readme_example_parses():
     cfg = parse_config(blocks[0], "README")
     assert (cfg.grid.half_length, cfg.grid.n_points) == (30.0, 4096)
     assert cfg.profile.kind == "constant" and cfg.seeds == (0.0, 0.5, -1.25)
-    assert (cfg.c_m, cfg.m_stop) == (0.2, -1e6)

@@ -1,6 +1,6 @@
 """The package's names: chbreak.__all__ against what __init__ imports, and
-every exported name and module-level function and class against what the
-package and its benchmark use. Routes that only tests call live in
+every exported name and module-level function, class and constant against
+what the package and its benchmark use. Routes that only tests call live in
 tests/reference.py, and a value that only tests set is a module constant
 that they monkeypatch, not a defaulted parameter."""
 
@@ -107,3 +107,28 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
             unset += [f"{path.stem}.{fn.name}({p})" for p in defaulted
                       if p not in set_by_callers]
     assert unset == []
+
+
+def _constants() -> list[str]:
+    """Every name bound by a module-level assignment in src/chbreak/, as
+    module.name; __all__ is the package's list of names, not a value."""
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names += [f"{path.stem}.{t.id}" for target in targets
+                      for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [name for name in names if name.split(".")[1] != "__all__"]
+
+
+def test_every_constant_is_read():
+    # a constant that only tests read or monkeypatch sets nothing a run does
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert [name for name in _constants() if name.split(".")[1] not in read] == []
